@@ -1,5 +1,6 @@
 #include "common/stats.hh"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 
@@ -13,8 +14,11 @@ Histogram::percentile(double frac) const
 {
     if (total == 0 || frac <= 0.0)
         return 0.0;
-    const auto target = static_cast<std::uint64_t>(
-        frac * static_cast<double>(total));
+    // Nearest rank: the smallest sample count covering frac, never
+    // below the first sample (so p50 of one sample is that sample).
+    const auto target = std::max<std::uint64_t>(
+        1, static_cast<std::uint64_t>(
+               std::ceil(frac * static_cast<double>(total))));
     std::uint64_t seen = 0;
     for (std::size_t i = 0; i < counts.size(); ++i) {
         seen += counts[i];

@@ -88,7 +88,10 @@ class Histogram
     std::size_t buckets() const { return counts.size(); }
     std::uint64_t samples() const { return total; }
 
-    /** Value below which @p frac of samples fall (bucket resolution). */
+    /**
+     * Nearest-rank percentile at bucket resolution: the upper edge of
+     * the bucket holding the ceil(frac * samples)-th smallest sample.
+     */
     double percentile(double frac) const;
 
     /** Lower edge of bucket @p i (the last bucket is the overflow). */

@@ -148,8 +148,8 @@ Server::start()
     stopFlag.store(false, std::memory_order_release);
     stateFlag.store(ServerStateKind::Serving,
                     std::memory_order_release);
-    // Workers first: the I/O thread's reap tick may append
-    // replacement workers to the same vector once jobs are running.
+    // Workers first: the I/O thread may dispatch to them as soon as
+    // it runs.
     for (unsigned i = 0; i < cfg.workers; ++i)
         workers.emplace_back([this] { workerLoop(); });
     ioThread = std::thread([this] { ioLoop(); });
@@ -1202,6 +1202,9 @@ Server::recordEncodeSpan(const Job &job, std::uint64_t t0_us,
 void
 Server::workerLoop()
 {
+    // reapOverdueJobs() sets this flag to stop the job we run.
+    std::atomic<bool> stop{false};
+    const StopScope scope(&stop);
     while (true) {
         std::uint64_t id = 0;
         SubmitRunRequest req;
@@ -1224,6 +1227,8 @@ Server::workerLoop()
                 continue; // reaped while queued
             it->second.state = JobState::Running;
             it->second.startedAt = Clock::now();
+            it->second.stop = &stop;
+            stop.store(false);
             ++runningJobs;
             req = it->second.req;
         }
@@ -1255,8 +1260,8 @@ Server::workerLoop()
                             std::move(error), wall);
             }
             // else: the reaper already finalized this job as
-            // TimedOut; the late result is discarded (PR 3
-            // abandonment discipline).
+            // TimedOut and stopped us; the late outcome (usually
+            // RunCancelled) is discarded.
         }
         cvJobs.notify_all();
     }
@@ -1283,16 +1288,8 @@ Server::reapOverdueJobs()
                                   job.deadlineMs),
                         elapsed_ms / 1000.0);
             changed = true;
-            if (was_running) {
-                // The stuck worker cannot be killed; a replacement
-                // keeps the pool at full strength and the eventual
-                // late result is discarded on arrival.
-                workers.emplace_back([this] { workerLoop(); });
-                warn("serve: job %llu exceeded its %u ms deadline; "
-                     "abandoned (replacement worker started)",
-                     static_cast<unsigned long long>(id),
-                     job.deadlineMs);
-            }
+            if (was_running)
+                job.stop->store(true);
         }
 
         // Expired waits answer with the job's interim state (still

@@ -14,10 +14,13 @@
  *    like SweepRunner cells. Workers never touch a socket: finished
  *    results are handed back to the I/O thread through a completion
  *    queue plus a wake pipe.
- *  - deadline reaping runs on the I/O thread's epoll tick with the
- *    PR 3 abandonment discipline: an overdue job is finalized as
- *    TimedOut, a replacement worker keeps the pool at full strength,
- *    and the stuck thread's eventual result is discarded.
+ *  - deadline reaping runs on the I/O thread's epoll tick: an
+ *    overdue job is finalized as TimedOut right at its deadline, and
+ *    if a worker is running it, that worker's stop flag is set (see
+ *    StopScope in sim/system.hh). The simulation throws RunCancelled
+ *    within stopPollRefs references, the worker discards that late
+ *    outcome and takes the next job, so the pool keeps the size it
+ *    had at start().
  *
  * Blocking JobResult waits are asynchronous server-side: a waiter
  * (connection, job, deadline) is parked in a table; the finalizing
@@ -241,6 +244,8 @@ class Server
         std::uint32_t deadlineMs = 0;
         Clock::time_point acceptedAt{};
         Clock::time_point startedAt{};
+        /** Stop flag of the worker running this job (while Running). */
+        std::atomic<bool> *stop = nullptr;
         /** Cache bookkeeping (kResultFromCache/kResultCoalesced). */
         std::uint8_t cacheFlags = 0;
         std::uint64_t cacheKey = 0;

@@ -370,7 +370,7 @@ SweepRunner::submit(std::string design, std::string app,
         // pre-parallel benches did (same order, same thread).
         nextJob = index + 1;
         if (!resumed)
-            runJob(index);
+            runJob(index, nullptr);
         return index;
     }
     if (resumed) {
@@ -391,7 +391,7 @@ SweepRunner::submit(std::string design, std::string app,
 }
 
 void
-SweepRunner::runJob(std::size_t index)
+SweepRunner::runJob(std::size_t index, std::atomic<bool> *stop)
 {
     // The vectors may reallocate under concurrent submit(); touch
     // them only while holding the lock, never during the run itself.
@@ -402,6 +402,9 @@ SweepRunner::runJob(std::size_t index)
         queue[index].job = nullptr;
         queue[index].running = true;
         queue[index].startedAt = Clock::now();
+        queue[index].stop = stop;
+        if (stop)
+            stop->store(false);
     }
 
     RunResult result;
@@ -443,8 +446,8 @@ SweepRunner::runJob(std::size_t index)
         std::lock_guard<std::mutex> lock(mtx);
         queue[index].running = false;
         if (finalized[index]) {
-            // collect() abandoned this cell as timed out while we
-            // were still running; the late result is discarded.
+            // collect() timed this cell out and set our stop flag;
+            // the late result (usually RunCancelled) is discarded.
             cv.notify_all();
             return;
         }
@@ -458,8 +461,8 @@ SweepRunner::runJob(std::size_t index)
         } else if (opts.cellTimeoutSec > 0.0 &&
                    wall > opts.cellTimeoutSec) {
             // Finished, but over budget (the only way --timeout can
-            // trigger in sequential mode, where nothing can abandon
-            // a running cell).
+            // trigger in sequential mode, where nothing can stop a
+            // running cell).
             rec.status = CellStatus::Timeout;
         } else {
             rec.status = CellStatus::Ok;
@@ -474,6 +477,9 @@ SweepRunner::runJob(std::size_t index)
 void
 SweepRunner::workerLoop()
 {
+    // collect() sets this flag to stop the cell this thread runs.
+    std::atomic<bool> stop{false};
+    const StopScope scope(&stop);
     while (true) {
         std::size_t index;
         {
@@ -490,7 +496,7 @@ SweepRunner::workerLoop()
             if (!queue[index].job)
                 continue; // resumed from checkpoint, nothing to run
         }
-        runJob(index);
+        runJob(index, &stop);
     }
 }
 
@@ -507,11 +513,9 @@ SweepRunner::collect()
                 break;
             if (opts.cellTimeoutSec <= 0.0)
                 continue;
-            // Abandon cells running past the budget. The thread
-            // itself cannot be interrupted, so a replacement worker
-            // per abandoned cell keeps the pool at full strength;
-            // the stuck thread's eventual result is discarded.
-            unsigned abandoned = 0;
+            // Time out cells running past the budget and stop them:
+            // the worker's RunCancelled ends in the discard path of
+            // runJob(), and the worker moves on to the next cell.
             const auto now = Clock::now();
             for (std::size_t i = 0; i < queue.size(); ++i) {
                 if (finalized[i] || !queue[i].running)
@@ -526,14 +530,12 @@ SweepRunner::collect()
                 records[i].wallSeconds = elapsed;
                 finalized[i] = true;
                 ++finalizedCount;
-                ++abandoned;
+                queue[i].stop->store(true);
                 warn("sweep: cell %s/%s exceeded --timeout %.1fs; "
-                     "abandoned",
+                     "stopped",
                      records[i].design.c_str(),
                      records[i].app.c_str(), opts.cellTimeoutSec);
             }
-            while (abandoned-- > 0)
-                workers.emplace_back([this] { workerLoop(); });
         }
     }
     collected = true;

@@ -20,11 +20,13 @@
  *    is marked CellStatus::Failed (with the exception message) and
  *    the rest of the grid completes normally.
  *  - With BenchOptions::cellTimeoutSec set, a cell running past the
- *    budget is abandoned: it is marked CellStatus::Timeout, a
- *    replacement worker keeps the pool at full strength, and the
- *    stuck thread's eventual result is discarded. (The thread itself
- *    cannot be killed; a truly non-terminating job still delays final
- *    teardown in the destructor.)
+ *    budget is marked CellStatus::Timeout and stopped: collect() sets
+ *    the stop flag of its worker (see StopScope in sim/system.hh),
+ *    the System inside throws RunCancelled within stopPollRefs
+ *    references, and the worker discards that late outcome and takes
+ *    the next cell. The pool never grows past its start-up size. A
+ *    job that never polls the flag (neither runs a System nor calls
+ *    throwIfStopRequested) still delays teardown in the destructor.
  *  - With BenchOptions::checkpointPath set, every completed-ok cell
  *    is appended to a checkpoint file as it finishes; re-running the
  *    same sweep command resumes from it, re-using the recorded
@@ -43,6 +45,7 @@
 #ifndef CHAMELEON_SIM_SWEEP_RUNNER_HH
 #define CHAMELEON_SIM_SWEEP_RUNNER_HH
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
@@ -119,12 +122,12 @@ class SweepRunner
                        std::function<RunResult()> job);
 
     /**
-     * Wait for every submitted job (abandoning cells that exceed the
-     * per-cell timeout), write the --json file if one was requested,
-     * and return the records in submission order. Never throws for
-     * job failures: failed/timed-out cells carry their status in the
-     * record (and "status" in the JSON). Callable once; submit() must
-     * not be called afterwards.
+     * Wait for every submitted job (timing out and stopping cells
+     * that exceed the per-cell timeout), write the --json file if one
+     * was requested, and return the records in submission order.
+     * Never throws for job failures: failed/timed-out cells carry
+     * their status in the record (and "status" in the JSON). Callable
+     * once; submit() must not be called afterwards.
      */
     std::vector<SweepRecord> collect();
 
@@ -140,7 +143,8 @@ class SweepRunner
     using Clock = std::chrono::steady_clock;
 
     void workerLoop();
-    void runJob(std::size_t index);
+    /** @p stop is the running worker's flag (null when inline). */
+    void runJob(std::size_t index, std::atomic<bool> *stop);
 
     /** Load opts.checkpointPath into loadedCells (ctor). */
     void loadCheckpoint();
@@ -152,6 +156,8 @@ class SweepRunner
         std::function<RunResult()> job;
         bool running = false;
         Clock::time_point startedAt{};
+        /** Stop flag of the worker running this cell. */
+        std::atomic<bool> *stop = nullptr;
     };
 
     BenchOptions opts;

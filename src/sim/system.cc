@@ -14,6 +14,32 @@
 namespace chameleon
 {
 
+namespace
+{
+
+/** The calling thread's stop flag (null = cannot be stopped). */
+thread_local const std::atomic<bool> *threadStopFlag = nullptr;
+
+} // namespace
+
+StopScope::StopScope(const std::atomic<bool> *flag)
+    : saved(threadStopFlag)
+{
+    threadStopFlag = flag;
+}
+
+StopScope::~StopScope()
+{
+    threadStopFlag = saved;
+}
+
+void
+throwIfStopRequested()
+{
+    if (threadStopFlag && threadStopFlag->load())
+        throw RunCancelled();
+}
+
 const char *
 designLabel(Design d)
 {
@@ -359,7 +385,13 @@ System::runPhase(std::uint64_t retire_target)
             ++active;
     }
 
+    std::uint32_t until_poll = stopPollRefs;
     while (active > 0) {
+        if (--until_poll == 0) [[unlikely]] {
+            until_poll = stopPollRefs;
+            throwIfStopRequested();
+        }
+
         // Advance the core with the earliest local clock so memory
         // requests arrive in (approximately) global time order.
         std::uint32_t c = 0;

@@ -192,6 +192,44 @@ struct RunResult
 };
 
 /**
+ * Thrown out of System::run (and throwIfStopRequested) when the
+ * calling thread's stop flag is set: the run was cancelled, its
+ * partial state is meaningless, and the System must be discarded.
+ */
+class RunCancelled : public std::runtime_error
+{
+  public:
+    RunCancelled() : std::runtime_error("run cancelled") {}
+};
+
+/**
+ * Installs @p flag as the calling thread's stop flag for the scope's
+ * lifetime and restores the previous one on exit. Worker threads
+ * (SweepRunner, the chameleond pool) hold one for their whole life
+ * and set the flag from another thread to stop the job they run; a
+ * thread without a scope can never be stopped.
+ */
+class StopScope
+{
+  public:
+    explicit StopScope(const std::atomic<bool> *flag);
+    ~StopScope();
+
+    StopScope(const StopScope &) = delete;
+    StopScope &operator=(const StopScope &) = delete;
+
+  private:
+    const std::atomic<bool> *saved;
+};
+
+/**
+ * Throw RunCancelled if the calling thread's stop flag is set. System
+ * calls it every System::stopPollRefs references; job callables that
+ * do not run a System (test stubs) call it to take the same exit.
+ */
+void throwIfStopRequested();
+
+/**
  * The simulated machine.
  *
  * Thread-compatible, not thread-safe: a System and everything it owns
@@ -236,7 +274,10 @@ class System
     RunResult run(std::uint64_t instr_per_core,
                   std::uint64_t warmup_per_core = 0);
 
-    /** References between two polls of the stop flag in run(). */
+    /**
+     * References between two polls of the stop flag in run(), about
+     * 1 ms of host time.
+     */
     static constexpr std::uint32_t stopPollRefs = 4096;
 
     MiniOs &os() { return *miniOs; }

@@ -223,6 +223,18 @@ TEST(Stats, HistogramPercentileEdges)
     EXPECT_EQ(h.percentile(0.0), 0.0);
     // The single sample sits in bucket [2,3).
     EXPECT_DOUBLE_EQ(h.percentile(1.0), 3.0);
+
+    // Nearest rank: a target below one sample still needs a sample,
+    // so few-sample quantiles never report the empty first bucket.
+    Histogram one(1.0, 512);
+    one.sample(300.0);
+    EXPECT_DOUBLE_EQ(one.percentile(0.50), 301.0);
+    EXPECT_DOUBLE_EQ(one.percentile(0.99), 301.0);
+    Histogram two(1.0, 512);
+    two.sample(0.04);
+    two.sample(2560.0);
+    EXPECT_DOUBLE_EQ(two.percentile(0.50), 1.0);
+    EXPECT_GT(two.percentile(0.99), 512.0) << "p99 is the overflow";
 }
 
 TEST(Stats, MeanTrackerSingleNegativeSample)

@@ -2,9 +2,9 @@
  * @file
  * Serving-daemon suite (ctest -L serve): wire-protocol round trips
  * and defensive decoding, then the Server over real loopback TCP —
- * concurrent clients, bounded-queue backpressure, deadline
- * enforcement with late-result discard, degraded fault results, and
- * the graceful-drain zero-lost invariant.
+ * concurrent clients, bounded-queue backpressure, deadlines that stop
+ * the running job (stub and real simulation), degraded fault
+ * results, and the graceful-drain zero-lost invariant.
  *
  * Server tests inject a stub runner (ServerConfig::runner), so they
  * exercise the serving machinery — framing, queueing, threading,
@@ -16,6 +16,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstring>
+#include <ctime>
 #include <mutex>
 #include <random>
 #include <thread>
@@ -32,6 +33,7 @@
 #include "serve/net_util.hh"
 #include "serve/protocol.hh"
 #include "serve/server.hh"
+#include "thread_probe.hh"
 
 using namespace chameleon;
 using namespace chameleon::serve;
@@ -492,41 +494,122 @@ TEST(ServeServer, BoundedQueueAnswersBusy)
 
 TEST(ServeServer, DeadlineExpiredJobReportsTimeout)
 {
-    std::atomic<bool> finished{false};
+    constexpr std::uint64_t kStuckSeed = 42;
+    std::atomic<bool> stopped{false};
     StubServer srv(
-        [&](const SubmitRunRequest &) {
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(600));
-            finished.store(true);
-            return stubResult();
+        [&](const SubmitRunRequest &req) -> RunResult {
+            if (req.seed != kStuckSeed)
+                return stubResult();
+            // A hung simulator stand-in: runs until the reaper sets
+            // its worker's stop flag, then takes System::run's exit.
+            try {
+                for (;;) {
+                    throwIfStopRequested();
+                    std::this_thread::sleep_for(
+                        std::chrono::milliseconds(1));
+                }
+            } catch (const RunCancelled &) {
+                stopped.store(true);
+                throw;
+            }
         },
         /*workers=*/1);
     Client c = srv.client();
 
     SubmitRunRequest req = sampleRequest();
+    req.seed = kStuckSeed;
     req.deadlineMs = 50;
     const SubmitRunReply sub = c.submitRun(req);
 
     const JobResultReply res = c.result(sub.jobId, 10'000);
     EXPECT_EQ(res.state, JobState::TimedOut);
     EXPECT_NE(res.error.find("deadline"), std::string::npos);
-    EXPECT_FALSE(finished.load()) << "timeout must not wait for the "
-                                     "stuck worker";
 
-    // The abandoned worker's late result is discarded: the state
-    // stays timeout after the stub finally returns.
+    // The stop reaches the running job, and its RunCancelled is
+    // discarded: the state stays timeout.
     const auto deadline = std::chrono::steady_clock::now() +
                           std::chrono::seconds(5);
-    while (!finished.load() &&
+    while (!stopped.load() &&
            std::chrono::steady_clock::now() < deadline)
-        std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    ASSERT_TRUE(finished.load());
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    ASSERT_TRUE(stopped.load());
     EXPECT_EQ(c.result(sub.jobId, 0).state, JobState::TimedOut);
+
+    // The one worker is free again: the next job runs on it.
+    req.seed = kStuckSeed + 1;
+    req.deadlineMs = 0;
+    const SubmitRunReply next = c.submitRun(req);
+    EXPECT_EQ(c.result(next.jobId, 10'000).state, JobState::Ok);
 
     const ServerStats st = srv.server->stats();
     EXPECT_EQ(st.timedOut, 1u);
-    EXPECT_EQ(st.completedOk, 0u);
+    EXPECT_EQ(st.completedOk, 1u);
+    EXPECT_EQ(st.failed, 0u);
+    EXPECT_EQ(st.lostJobs(), 0u);
+}
+
+TEST(ServeServer, DeadlinesStopRealSimulationsWithoutNewThreads)
+{
+    using Clock = std::chrono::steady_clock;
+    // No runner hook: every job is a real simulation. At scale 512
+    // an mcf job of 10M instructions per core runs for seconds, so a
+    // 50 ms deadline expires while the first one runs and the other
+    // seven are still queued.
+    ServerConfig cfg;
+    cfg.workers = 1;
+    Server server(std::move(cfg));
+    server.start();
+    test::ThreadPeak peak;
+    const std::size_t threads_after_start = test::threadCount();
+
+    ClientConfig ccfg;
+    ccfg.port = server.port();
+    Client c(ccfg);
+
+    SubmitRunRequest req;
+    req.design = "chameleon-opt";
+    req.app = "mcf";
+    req.scale = 512;
+    req.instrPerCore = 10'000'000;
+    req.minRefsPerCore = 1'000;
+    req.noCache = true;
+    req.deadlineMs = 50;
+    std::vector<std::uint64_t> ids;
+    for (std::uint64_t i = 0; i < 8; ++i) {
+        req.seed = 100 + i;
+        ids.push_back(c.submitRun(req).jobId);
+    }
+    for (std::uint64_t id : ids)
+        EXPECT_EQ(c.result(id, 30'000).state, JobState::TimedOut)
+            << "job " << id;
+    // The sampler is this test's only extra thread.
+    EXPECT_LE(peak.stop(), threads_after_start);
+
+    // The stopped simulation leaves the CPU within a poll quantum.
+    timespec cpu0{}, cpu1{};
+    ::clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &cpu0);
+    std::this_thread::sleep_for(std::chrono::milliseconds(300));
+    ::clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &cpu1);
+    const double cpu_ms = (cpu1.tv_sec - cpu0.tv_sec) * 1e3 +
+                          (cpu1.tv_nsec - cpu0.tv_nsec) / 1e6;
+    EXPECT_LE(cpu_ms, 30.0) << "a timed-out simulation kept running";
+
+    // ...and the worker it ran on takes the next job.
+    req.seed = 1;
+    req.instrPerCore = 20'000;
+    req.deadlineMs = 0;
+    const auto t0 = Clock::now();
+    const SubmitRunReply sub = c.submitRun(req);
+    EXPECT_EQ(c.result(sub.jobId, 30'000).state, JobState::Ok);
+    EXPECT_LT(std::chrono::duration<double>(Clock::now() - t0).count(),
+              10.0);
+    // The sampler has exited and nothing took its place.
+    EXPECT_LT(test::threadCount(), threads_after_start);
+
+    server.stop();
+    const ServerStats st = server.stats();
+    EXPECT_EQ(st.timedOut, 8u);
+    EXPECT_EQ(st.completedOk, 1u);
     EXPECT_EQ(st.lostJobs(), 0u);
 }
 

@@ -2,9 +2,9 @@
  * @file
  * Resilience tests for the sweep engine: bounded retry with backoff,
  * per-cell wall-clock timeouts (sequential over-budget marking and
- * parallel abandonment), and the checkpoint/resume round trip — a
- * resumed sweep re-uses completed cells and reproduces the --json
- * aggregate byte-for-byte.
+ * the parallel cooperative stop), and the checkpoint/resume round
+ * trip — a resumed sweep re-uses completed cells and reproduces the
+ * --json aggregate byte-for-byte.
  */
 
 #include <gtest/gtest.h>
@@ -21,6 +21,7 @@
 
 #include "sim/experiment.hh"
 #include "sim/sweep_runner.hh"
+#include "thread_probe.hh"
 
 using namespace chameleon;
 
@@ -120,33 +121,37 @@ TEST(SweepResilience, SequentialTimeoutMarksOverBudgetCells)
 
 TEST(SweepResilience, ParallelTimeoutAbandonsStuckCellPromptly)
 {
+    using Clock = std::chrono::steady_clock;
     BenchOptions opts = tinyOpts(2);
     opts.cellTimeoutSec = 0.2;
-    auto release = std::make_shared<std::atomic<bool>>(false);
-    std::vector<SweepRecord> recs;
-    {
-        SweepRunner runner(opts);
-        runner.submit("d", "stuck", [release] {
-            // A hung simulator stand-in: spins until the test ends
-            // (the runner cannot kill the thread, only abandon it).
-            while (!release->load())
-                std::this_thread::sleep_for(
-                    std::chrono::milliseconds(10));
-            return fakeResult(0);
-        });
-        for (int i = 1; i <= 3; ++i)
-            runner.submit("d", "ok" + std::to_string(i),
-                          [i] { return fakeResult(i); });
-        const auto t0 = std::chrono::steady_clock::now();
-        recs = runner.collect();
-        const double waited = std::chrono::duration<double>(
-                                  std::chrono::steady_clock::now() -
-                                  t0)
-                                  .count();
-        EXPECT_LT(waited, 3.0)
-            << "collect() must not wait for the stuck thread";
-        release->store(true); // let the worker drain before joining
-    }
+    // Counted with the sampler running (a sanitizer runtime may add a
+    // helper thread once the process has a second one).
+    test::ThreadPeak peak;
+    const std::size_t threads_before = test::threadCount();
+    auto runner = std::make_unique<SweepRunner>(opts);
+    runner->submit("d", "stuck", []() -> RunResult {
+        // A hung simulator stand-in: runs until its worker's stop flag
+        // is set, then takes System::run's exit.
+        for (;;) {
+            throwIfStopRequested();
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+    });
+    for (int i = 1; i <= 3; ++i)
+        runner->submit("d", "ok" + std::to_string(i),
+                       [i] { return fakeResult(i); });
+    const auto t0 = Clock::now();
+    const std::vector<SweepRecord> recs = runner->collect();
+    const auto t1 = Clock::now();
+    runner.reset();
+    const auto t2 = Clock::now();
+    EXPECT_LT(std::chrono::duration<double>(t1 - t0).count(), 1.0);
+    EXPECT_LT(std::chrono::duration<double>(t2 - t1).count(), 0.5)
+        << "the stopped worker must exit";
+    // The runner may add its 2 workers and never a replacement for
+    // the stopped cell.
+    EXPECT_LE(peak.stop(), threads_before + 2);
+
     ASSERT_EQ(recs.size(), 4u);
     EXPECT_EQ(recs[0].status, CellStatus::Timeout);
     EXPECT_GE(recs[0].wallSeconds, opts.cellTimeoutSec);
