@@ -2,13 +2,14 @@
  * @file
  * Microbenchmarks (google-benchmark) for the hot structures: SRRT
  * lookups through the Chameleon access path, ISA transition handling,
- * raw DRAM-device access computation, and the synthetic stream
- * generator.
+ * raw DRAM-device access computation, the synthetic stream generator,
+ * OS translation, and one whole System::run cell per reference.
  */
 
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -18,6 +19,7 @@
 #include "core/chameleon_opt.hh"
 #include "dram/dram_device.hh"
 #include "obs/trace_sink.hh"
+#include "os/mini_os.hh"
 #include "sim/experiment.hh"
 #include "sim/sweep_runner.hh"
 #include "workloads/profile.hh"
@@ -267,5 +269,64 @@ BM_StreamGen(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_StreamGen);
+
+/** MiniOs::translate on a fully mapped process: a page-table hit. */
+static void
+BM_Translate(benchmark::State &state)
+{
+    OsConfig cfg;
+    cfg.frames.stackedBytes = 16_MiB;
+    cfg.frames.offchipBytes = 80_MiB;
+    MiniOs os(cfg);
+    const std::uint64_t footprint = 8_MiB;
+    const ProcId pid = os.createProcess("bench", footprint);
+    os.preAllocate(pid);
+    Rng rng(5);
+    Cycle now = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(
+            os.translate(pid, rng.below(footprint / 64) * 64,
+                         AccessType::Read, now += 4)
+                .phys);
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_Translate);
+
+/**
+ * System::run on one scale-256 cell (chameleon-opt x mcf, the sim
+ * grid's --instr 200000 --refs 10000) divided by its memory
+ * references: the whole kernel step, stream to DRAM. Building and
+ * destroying the System are not timed. Warmup equals the measured
+ * phase, so a run makes twice the measured references.
+ */
+static void
+BM_SystemRunPerRef(benchmark::State &state)
+{
+    BenchOptions opts;
+    opts.scale = 256;
+    opts.instrPerCore = 200'000;
+    opts.minRefsPerCore = 10'000;
+    const auto suite = tableTwoSuite(opts.scale);
+    const AppProfile &app = findProfile(suite, "mcf");
+    const SystemConfig cfg = makeSystemConfig(Design::ChameleonOpt, opts);
+    const std::uint64_t instr = effectiveInstructions(app, opts);
+    const auto warmup = static_cast<std::uint64_t>(
+        static_cast<double>(instr) * opts.warmupFrac);
+    std::uint64_t refs = 0;
+    std::optional<System> sys;
+    for (auto _ : state) {
+        state.PauseTiming();
+        sys.emplace(cfg);
+        sys->loadRateWorkload(app);
+        state.ResumeTiming();
+        refs += 2 * sys->run(instr, warmup).memRefs;
+        state.PauseTiming();
+        sys.reset();
+        state.ResumeTiming();
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(refs));
+}
+BENCHMARK(BM_SystemRunPerRef)->Unit(benchmark::kMillisecond);
 
 BENCHMARK_MAIN();

@@ -86,44 +86,14 @@ class Rng
      * Geometric run length with mean @p mean (>= 1). Used for
      * sequential-run spatial locality in address streams.
      */
-    std::uint64_t
-    geometric(double mean)
-    {
-        if (mean <= 1.0)
-            return 1;
-        const double p = 1.0 / mean;
-        double u = uniform();
-        // Guard against log(0).
-        if (u >= 1.0)
-            u = 0.999999999999;
-        auto len = static_cast<std::uint64_t>(
-            std::floor(std::log1p(-u) / std::log1p(-p))) + 1;
-        return len;
-    }
+    std::uint64_t geometric(double mean);
 
     /**
      * Bounded Zipf-like rank sample in [0, n) with exponent @p s,
      * computed by inverse-CDF approximation. Used to skew hot-page
      * popularity inside a working set.
      */
-    std::uint64_t
-    zipf(std::uint64_t n, double s)
-    {
-        if (n <= 1)
-            return 0;
-        // Approximate inverse CDF of the continuous analogue.
-        const double u = uniform();
-        if (s == 1.0) {
-            const double hn = std::log(static_cast<double>(n));
-            auto r = static_cast<std::uint64_t>(std::exp(u * hn)) - 1;
-            return r < n ? r : n - 1;
-        }
-        const double e = 1.0 - s;
-        const double nm = std::pow(static_cast<double>(n), e);
-        auto r = static_cast<std::uint64_t>(
-            std::pow(u * (nm - 1.0) + 1.0, 1.0 / e)) - 1;
-        return r < n ? r : n - 1;
-    }
+    std::uint64_t zipf(std::uint64_t n, double s);
 
   private:
     static std::uint64_t
@@ -134,6 +104,95 @@ class Rng
 
     std::uint64_t state[4];
 };
+
+/**
+ * Geometric distribution with a fixed mean: the per-draw constant
+ * log1p(-1/mean) is computed once. A mean <= 1 always yields 1 and
+ * draws nothing from the generator.
+ */
+class GeometricDist
+{
+  public:
+    explicit GeometricDist(double mean)
+        : degenerate(mean <= 1.0),
+          logQ(degenerate ? 0.0 : std::log1p(-(1.0 / mean)))
+    {
+    }
+
+    std::uint64_t
+    operator()(Rng &rng) const
+    {
+        if (degenerate)
+            return 1;
+        double u = rng.uniform();
+        // Guard against log(0).
+        if (u >= 1.0)
+            u = 0.999999999999;
+        return static_cast<std::uint64_t>(
+                   std::floor(std::log1p(-u) / logQ)) + 1;
+    }
+
+  private:
+    bool degenerate;
+    double logQ;
+};
+
+/**
+ * Bounded Zipf-like distribution over [0, n) with exponent @p s, by
+ * inverse-CDF approximation of the continuous analogue; pow(n, 1-s)
+ * and the other per-(n, s) constants are computed once. n <= 1 always
+ * yields 0 and draws nothing from the generator.
+ */
+class ZipfDist
+{
+  public:
+    ZipfDist(std::uint64_t n, double s)
+        : size(n), harmonic(s == 1.0)
+    {
+        if (size <= 1)
+            return;
+        const double dn = static_cast<double>(size);
+        if (harmonic) {
+            logN = std::log(dn);
+        } else {
+            const double e = 1.0 - s;
+            span = std::pow(dn, e) - 1.0;
+            invE = 1.0 / e;
+        }
+    }
+
+    std::uint64_t
+    operator()(Rng &rng) const
+    {
+        if (size <= 1)
+            return 0;
+        const double u = rng.uniform();
+        const auto r = harmonic
+            ? static_cast<std::uint64_t>(std::exp(u * logN)) - 1
+            : static_cast<std::uint64_t>(
+                  std::pow(u * span + 1.0, invE)) - 1;
+        return r < size ? r : size - 1;
+    }
+
+  private:
+    std::uint64_t size;
+    bool harmonic;
+    double logN = 0.0;
+    double span = 0.0;
+    double invE = 0.0;
+};
+
+inline std::uint64_t
+Rng::geometric(double mean)
+{
+    return GeometricDist(mean)(*this);
+}
+
+inline std::uint64_t
+Rng::zipf(std::uint64_t n, double s)
+{
+    return ZipfDist(n, s)(*this);
+}
 
 } // namespace chameleon
 

@@ -1,8 +1,6 @@
 #include "core/chameleon.hh"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 
 #include "common/log.hh"
 #include "obs/trace_sink.hh"
@@ -119,9 +117,6 @@ ChameleonMemory::noteCacheBurst(BurstRel rel)
             static_cast<double>(cacheAccessCount) /
             static_cast<double>(cacheBurstCount);
         fillAggressive = avg_len >= spatialFillThreshold;
-        if (getenv("CHAM_DEBUG"))
-            std::fprintf(stderr, "[%s] avg_burst=%.2f aggressive=%d\n",
-                         name(), avg_len, fillAggressive ? 1 : 0);
         cacheAccessCount /= 2;
         cacheBurstCount = std::max<std::uint64_t>(cacheBurstCount / 2,
                                                   1);
@@ -219,7 +214,7 @@ ChameleonMemory::access(Addr phys, AccessType type, Cycle when)
               static_cast<unsigned long long>(phys));
 
     const std::uint32_t logical = segSpace.slotOf(phys);
-    const Addr seg_off = phys % cfg.segmentBytes;
+    const Addr seg_off = segSpace.offsetOf(phys);
 
     MemAccessResult result;
     if (logical == 0 || !aug[group].isAllocated(logical)) {
@@ -354,7 +349,7 @@ ChameleonMemory::resolveLocation(Addr phys) const
     const SrrtAugment &a = aug[group];
     if (a.mode == GroupMode::Cache && a.hasCached() &&
         a.cachedSlot == logical) {
-        return slotLocation(group, 0) + phys % cfg.segmentBytes;
+        return slotLocation(group, 0) + segSpace.offsetOf(phys);
     }
     return PomMemory::resolveLocation(phys);
 }

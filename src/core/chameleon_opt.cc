@@ -55,7 +55,7 @@ ChameleonOptMemory::access(Addr phys, AccessType type, Cycle when)
               static_cast<unsigned long long>(phys));
 
     const std::uint32_t logical = segSpace.slotOf(phys);
-    const Addr seg_off = phys % cfg.segmentBytes;
+    const Addr seg_off = segSpace.offsetOf(phys);
 
     MemAccessResult result;
     if (!aug[group].isAllocated(logical)) {

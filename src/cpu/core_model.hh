@@ -18,8 +18,8 @@
 #ifndef CHAMELEON_CPU_CORE_MODEL_HH
 #define CHAMELEON_CPU_CORE_MODEL_HH
 
+#include <algorithm>
 #include <cstdint>
-#include <queue>
 #include <vector>
 
 #include "common/types.hh"
@@ -41,6 +41,7 @@ class CoreModel
     explicit CoreModel(const CoreConfig &config = CoreConfig())
         : cfg(config)
     {
+        outstanding.reserve(cfg.maxOutstanding);
     }
 
     /** Core-local current cycle. */
@@ -67,10 +68,14 @@ class CoreModel
     Cycle
     issueRead()
     {
+        // The window is a few entries wide: a linear scan for the
+        // earliest completion beats a heap.
         while (outstanding.size() >= cfg.maxOutstanding) {
-            if (outstanding.top() > clock)
-                clock = outstanding.top();
-            outstanding.pop();
+            const auto first = std::min_element(outstanding.begin(),
+                                                outstanding.end());
+            clock = std::max(clock, *first);
+            *first = outstanding.back();
+            outstanding.pop_back();
         }
         return clock;
     }
@@ -79,7 +84,7 @@ class CoreModel
     void
     completeRead(Cycle done)
     {
-        outstanding.push(done);
+        outstanding.push_back(done);
         ++instrRetired;
         ++clock;
     }
@@ -104,11 +109,9 @@ class CoreModel
     void
     drain()
     {
-        while (!outstanding.empty()) {
-            if (outstanding.top() > clock)
-                clock = outstanding.top();
-            outstanding.pop();
-        }
+        for (const Cycle done : outstanding)
+            clock = std::max(clock, done);
+        outstanding.clear();
     }
 
     /** Retired-instruction IPC at the current clock. */
@@ -125,9 +128,8 @@ class CoreModel
     Cycle clock = 0;
     std::uint64_t instrRetired = 0;
     Cycle faultStallCycles = 0;
-    std::priority_queue<Cycle, std::vector<Cycle>,
-                        std::greater<Cycle>>
-        outstanding;
+    /** Completion cycles of the in-flight read misses, unordered. */
+    std::vector<Cycle> outstanding;
 };
 
 } // namespace chameleon

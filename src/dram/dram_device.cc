@@ -12,12 +12,26 @@ namespace chameleon
 DramDevice::DramDevice(const DramTimings &timings)
     : cfg(timings)
 {
-    if (!isPowerOf2(cfg.rowBytes))
-        fatal("DramDevice: rowBytes %u must be a power of two",
-              cfg.rowBytes);
     if (cfg.channels == 0 || cfg.ranksPerChannel == 0 ||
         cfg.banksPerRank == 0)
         fatal("DramDevice: degenerate geometry");
+    // Addresses decode with shifts and masks, so every interleaving
+    // dimension must be a power of two.
+    if (!isPowerOf2(cfg.rowBytes) || cfg.rowBytes < 64)
+        fatal("DramDevice: rowBytes %u must be a power of two >= 64",
+              cfg.rowBytes);
+    if (!isPowerOf2(cfg.channels))
+        fatal("DramDevice: channels %u must be a power of two",
+              cfg.channels);
+    const std::uint32_t banks = cfg.ranksPerChannel * cfg.banksPerRank;
+    if (!isPowerOf2(banks))
+        fatal("DramDevice: ranksPerChannel x banksPerRank %u must be a "
+              "power of two",
+              banks);
+    chanMask = cfg.channels - 1;
+    bankMask = banks - 1;
+    rowSeqShift = floorLog2(cfg.channels) + floorLog2(cfg.rowBytes);
+    rowShift = floorLog2(banks);
 
     cpuPerMemClock = cpuFreqGhz / cfg.busFreqGhz;
     tCasCpu = memToCpu(cfg.tCas);
@@ -40,14 +54,12 @@ DramDevice::mapAddress(Addr addr, std::uint32_t &channel,
     // 64B blocks interleave across channels; rows interleave across the
     // banks of a channel. This is the standard open-page mapping that
     // gives both channel parallelism and row locality for streams.
-    const Addr block = addr / 64;
-    channel = static_cast<std::uint32_t>(block % cfg.channels);
-    const Addr chan_local = block / cfg.channels;
-    const Addr blocks_per_row = cfg.rowBytes / 64;
-    const Addr row_seq = chan_local / blocks_per_row;
-    const std::uint32_t banks = cfg.ranksPerChannel * cfg.banksPerRank;
-    bank = static_cast<std::uint32_t>(row_seq % banks);
-    row = row_seq / banks;
+    // Bits, low to high: block offset, channel, column block within
+    // the row, bank, row.
+    channel = static_cast<std::uint32_t>((addr >> 6) & chanMask);
+    const Addr row_seq = addr >> rowSeqShift;
+    bank = static_cast<std::uint32_t>(row_seq & bankMask);
+    row = row_seq >> rowShift;
 }
 
 Cycle
@@ -55,11 +67,14 @@ DramDevice::refreshAdjust(Cycle start)
 {
     // All banks are unavailable for tRFC at the top of each tREFI
     // window (all-bank refresh). Push the start time out of the
-    // blackout if it lands inside one.
-    const Cycle win_start = (start / tRefiCpu) * tRefiCpu;
-    if (start < win_start + tRfcCpu) {
+    // blackout if it lands inside one. Requests arrive in nearly
+    // ascending time, so the current window is cached; the unsigned
+    // difference also leaves it when @p start falls before it.
+    if (start - refWinStart >= tRefiCpu)
+        refWinStart = (start / tRefiCpu) * tRefiCpu;
+    if (start < refWinStart + tRfcCpu) {
         ++statsData.refreshStalls;
-        return win_start + tRfcCpu;
+        return refWinStart + tRfcCpu;
     }
     return start;
 }

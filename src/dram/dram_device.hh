@@ -177,6 +177,12 @@ class DramDevice
     double cpuPerMemClock;
     Cycle tCasCpu, tRcdCpu, tRpCpu, tRasCpu, tBurstCpu;
     Cycle tRfcCpu, tRefiCpu;
+    /** Start of the tREFI window the last refreshAdjust() fell in. */
+    Cycle refWinStart = 0;
+    /** Address decode: channel and bank masks, row-sequence and row
+     *  shifts (see mapAddress()). */
+    Addr chanMask, bankMask;
+    unsigned rowSeqShift, rowShift;
     std::vector<Channel> channels;
     DramStats statsData;
 };

@@ -118,7 +118,7 @@ PomMemory::resolveLocation(Addr phys) const
     const std::uint64_t group = segSpace.groupOf(phys);
     const std::uint32_t logical = segSpace.slotOf(phys);
     const std::uint32_t slot = table[group].perm[logical];
-    const Addr seg_off = phys % cfg.segmentBytes;
+    const Addr seg_off = segSpace.offsetOf(phys);
     return slotLocation(group, slot) + seg_off;
 }
 
@@ -263,7 +263,7 @@ PomMemory::access(Addr phys, AccessType type, Cycle when)
 
     const std::uint64_t group = segSpace.groupOf(phys);
     const std::uint32_t logical = segSpace.slotOf(phys);
-    const Addr seg_off = phys % cfg.segmentBytes;
+    const Addr seg_off = segSpace.offsetOf(phys);
     const std::uint32_t slot = table[group].perm[logical];
 
     MemAccessResult result;

@@ -31,10 +31,14 @@ class SegmentSpace
   public:
     SegmentSpace(std::uint64_t stacked_bytes, std::uint64_t offchip_bytes,
                  std::uint64_t seg_bytes)
-        : segBytes(seg_bytes), stackedBytes(stacked_bytes),
-          offchipBytes(offchip_bytes)
+        : segBytes(seg_bytes), segShift(floorLog2(seg_bytes)),
+          stackedBytes(stacked_bytes), offchipBytes(offchip_bytes)
     {
-        if (segBytes == 0 || stackedBytes % segBytes != 0 ||
+        if (!isPowerOf2(segBytes))
+            fatal("SegmentSpace: segment size %llu must be a power of "
+                  "two",
+                  static_cast<unsigned long long>(segBytes));
+        if (stackedBytes % segBytes != 0 ||
             offchipBytes % segBytes != 0)
             fatal("SegmentSpace: capacities not segment multiples");
         if (offchipBytes % stackedBytes != 0)
@@ -56,11 +60,14 @@ class SegmentSpace
         return stackedBytes + offchipBytes;
     }
 
+    /** Byte offset of @p phys within its segment. */
+    Addr offsetOf(Addr phys) const { return phys & (segBytes - 1); }
+
     /** Group containing OS-visible address @p phys. */
     std::uint64_t
     groupOf(Addr phys) const
     {
-        const std::uint64_t seg = phys / segBytes;
+        const std::uint64_t seg = phys >> segShift;
         if (seg < groups)
             return seg;
         return (seg - groups) % groups;
@@ -70,7 +77,7 @@ class SegmentSpace
     std::uint32_t
     slotOf(Addr phys) const
     {
-        const std::uint64_t seg = phys / segBytes;
+        const std::uint64_t seg = phys >> segShift;
         if (seg < groups)
             return 0;
         return 1 + static_cast<std::uint32_t>((seg - groups) / groups);
@@ -103,6 +110,7 @@ class SegmentSpace
 
   private:
     std::uint64_t segBytes;
+    unsigned segShift;
     std::uint64_t stackedBytes;
     std::uint64_t offchipBytes;
     std::uint64_t groups;

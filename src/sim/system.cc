@@ -375,14 +375,20 @@ System::loadPerCoreWorkloads(const std::vector<AppProfile> &profiles)
 void
 System::runPhase(std::uint64_t retire_target)
 {
+    // Each live core's clock, mirrored so the earliest-clock scan reads
+    // one flat array; a finished core holds the maximum and is never
+    // picked.
+    constexpr Cycle finished = ~static_cast<Cycle>(0);
     const std::uint32_t n = cfg.numCores;
-    std::vector<bool> done(n, false);
+    std::vector<Cycle> clocks(n);
     std::uint32_t active = 0;
     for (std::uint32_t i = 0; i < n; ++i) {
-        if (cores[i].retired() >= retire_target)
-            done[i] = true;
-        else
+        if (cores[i].retired() >= retire_target) {
+            clocks[i] = finished;
+        } else {
+            clocks[i] = cores[i].now();
             ++active;
+        }
     }
 
     std::uint32_t until_poll = stopPollRefs;
@@ -393,12 +399,13 @@ System::runPhase(std::uint64_t retire_target)
         }
 
         // Advance the core with the earliest local clock so memory
-        // requests arrive in (approximately) global time order.
+        // requests arrive in (approximately) global time order; ties
+        // go to the lowest index.
         std::uint32_t c = 0;
-        Cycle best = ~static_cast<Cycle>(0);
+        Cycle best = finished;
         for (std::uint32_t i = 0; i < n; ++i) {
-            if (!done[i] && cores[i].now() < best) {
-                best = cores[i].now();
+            if (clocks[i] < best) {
+                best = clocks[i];
                 c = i;
             }
         }
@@ -456,8 +463,10 @@ System::runPhase(std::uint64_t retire_target)
 
         if (core.retired() >= retire_target) {
             core.drain();
-            done[c] = true;
+            clocks[c] = finished;
             --active;
+        } else {
+            clocks[c] = core.now();
         }
     }
 }

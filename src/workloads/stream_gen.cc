@@ -7,34 +7,58 @@
 namespace chameleon
 {
 
+namespace
+{
+
+/** @p p, once the knobs the generator relies on are checked. */
+const AppProfile &
+validated(const AppProfile &p)
+{
+    if (p.llcMpki <= 0.0)
+        fatal("SyntheticStream(%s): MPKI must be positive",
+              p.name.c_str());
+    // With both fractions in [0, 1], the hot window, one hot pick and
+    // one phase step each fit in the footprint, so a single
+    // conditional subtraction wraps their sums.
+    if (!(p.hotFraction >= 0.0 && p.hotFraction <= 1.0) ||
+        !(p.phaseShiftFraction >= 0.0 && p.phaseShiftFraction <= 1.0))
+        fatal("SyntheticStream(%s): hotFraction and phaseShiftFraction "
+              "must lie in [0, 1]",
+              p.name.c_str());
+    return p;
+}
+
+} // namespace
+
 SyntheticStream::SyntheticStream(const AppProfile &profile,
                                  std::uint64_t footprint_bytes,
                                  std::uint64_t seed)
-    : prof(profile), rng(seed)
+    : prof(validated(profile)), rng(seed),
+      blocks(std::max<std::uint64_t>(footprint_bytes / 64, 64)),
+      hotBlocks(std::max<std::uint64_t>(
+          static_cast<std::uint64_t>(prof.hotFraction *
+                                     static_cast<double>(blocks)),
+          1)),
+      phaseStep(std::max<std::uint64_t>(
+          static_cast<std::uint64_t>(prof.phaseShiftFraction *
+                                     static_cast<double>(hotBlocks)),
+          1)),
+      gapDist(std::max(1.0, 1000.0 / prof.llcMpki)),
+      runDist(prof.seqRunBlocks), hotDist(hotBlocks, prof.zipfSkew),
+      nextPhaseAt(prof.phaseInstructions ? prof.phaseInstructions
+                                         : ~0ull)
 {
-    blocks = std::max<std::uint64_t>(footprint_bytes / 64, 64);
-    hotBlocks = std::max<std::uint64_t>(
-        static_cast<std::uint64_t>(prof.hotFraction *
-                                   static_cast<double>(blocks)), 1);
-    if (prof.llcMpki <= 0.0)
-        fatal("SyntheticStream(%s): MPKI must be positive",
-              prof.name.c_str());
-    meanGap = std::max(1.0, 1000.0 / prof.llcMpki);
 }
 
 void
-SyntheticStream::maybeRotatePhase()
+SyntheticStream::rotatePhase()
 {
-    if (prof.phaseInstructions == 0)
-        return;
-    const std::uint64_t wanted = instrRetired / prof.phaseInstructions;
-    while (phaseIdx < wanted) {
+    while (instrRetired >= nextPhaseAt) {
         ++phaseIdx;
+        nextPhaseAt += prof.phaseInstructions;
         // Advance the hot window by the configured turnover so part
         // of the working set goes cold and fresh blocks heat up.
-        const auto step = static_cast<std::uint64_t>(
-            prof.phaseShiftFraction * static_cast<double>(hotBlocks));
-        hotBase = (hotBase + std::max<std::uint64_t>(step, 1)) % blocks;
+        hotBase = wrap(hotBase + phaseStep);
     }
 }
 
@@ -47,19 +71,16 @@ SyntheticStream::startNewRun()
     std::uint64_t base = lastRunBase;
     for (int attempt = 0; attempt < 4 && base == lastRunBase;
          ++attempt) {
-        if (rng.chance(prof.hotProbability)) {
-            const std::uint64_t r = rng.zipf(hotBlocks, prof.zipfSkew);
-            base = (hotBase + r) % blocks;
-        } else {
+        if (rng.chance(prof.hotProbability))
+            base = wrap(hotBase + hotDist(rng));
+        else
             base = rng.below(blocks);
-        }
     }
     if (base == lastRunBase)
-        base = (base + 1) % blocks;
+        base = wrap(base + 1);
     lastRunBase = base;
     pos = base;
-    runRemaining = std::max<std::uint64_t>(
-        rng.geometric(prof.seqRunBlocks), 1);
+    runRemaining = std::max<std::uint64_t>(runDist(rng), 1);
 }
 
 MemOp
@@ -69,19 +90,19 @@ SyntheticStream::next()
         startNewRun();
 
     MemOp op;
-    op.vaddr = (pos % blocks) * 64;
+    op.vaddr = pos * 64;
     op.type = rng.chance(prof.writeFraction) ? AccessType::Write
                                              : AccessType::Read;
-    const std::uint64_t gap = std::max<std::uint64_t>(
-        rng.geometric(meanGap), 1);
+    const std::uint64_t gap = std::max<std::uint64_t>(gapDist(rng), 1);
     op.gap = static_cast<std::uint32_t>(
         std::min<std::uint64_t>(gap, 1u << 20));
 
-    pos = (pos + 1) % blocks;
+    pos = wrap(pos + 1);
     --runRemaining;
     instrRetired += op.gap;
     ++refs;
-    maybeRotatePhase();
+    if (instrRetired >= nextPhaseAt)
+        rotatePhase();
     return op;
 }
 

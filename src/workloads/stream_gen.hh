@@ -8,9 +8,8 @@
  * plus a uniform cold tail, with geometric sequential runs for spatial
  * locality and optional phase changes that rotate the hot set through
  * the footprint. Emitting at LLC-miss level keeps the Table II MPKI
- * exact by construction and makes multi-configuration sweeps cheap;
- * the SRAM hierarchy (src/cache) is exercised separately by the
- * full-hierarchy mode, tests and examples.
+ * exact by construction and makes multi-configuration sweeps cheap.
+ * No SRAM cache is simulated: the streams are already post-LLC.
  *
  * Thread-compatible, not thread-safe: each stream (and its Rng) is
  * owned by one core of one System.
@@ -57,8 +56,15 @@ class SyntheticStream : public AddressStream
     std::uint64_t phase() const { return phaseIdx; }
 
   private:
-    void maybeRotatePhase();
+    void rotatePhase();
     void startNewRun();
+
+    /** @p x wrapped into [0, blocks); @p x must be below 2 * blocks. */
+    std::uint64_t
+    wrap(std::uint64_t x) const
+    {
+        return x >= blocks ? x - blocks : x;
+    }
 
     AppProfile prof;
     Rng rng;
@@ -66,8 +72,14 @@ class SyntheticStream : public AddressStream
     std::uint64_t blocks;
     std::uint64_t hotBlocks;
     std::uint64_t hotBase = 0;
-    double meanGap;
+    /** Hot-window advance per phase, in blocks (at most blocks). */
+    std::uint64_t phaseStep;
 
+    GeometricDist gapDist;
+    GeometricDist runDist;
+    ZipfDist hotDist;
+
+    /** Next block to emit; always below blocks. */
     std::uint64_t pos = 0;
     std::uint64_t runRemaining = 0;
     std::uint64_t lastRunBase = ~0ull;
@@ -75,6 +87,8 @@ class SyntheticStream : public AddressStream
     std::uint64_t instrRetired = 0;
     std::uint64_t refs = 0;
     std::uint64_t phaseIdx = 0;
+    /** Retired-instruction count that starts the next phase. */
+    std::uint64_t nextPhaseAt;
 };
 
 } // namespace chameleon

@@ -8,6 +8,7 @@
 
 #include <cmath>
 #include <limits>
+#include <utility>
 
 #include "common/log.hh"
 #include "common/rng.hh"
@@ -133,6 +134,77 @@ TEST(Rng, ZipfBounded)
         ASSERT_LT(rng.zipf(37, 1.0), 37u);
     }
     EXPECT_EQ(rng.zipf(1, 0.7), 0u);
+}
+
+namespace
+{
+
+/** Rng::geometric as first written: log1p(-p) on every draw. */
+std::uint64_t
+literalGeometric(Rng &rng, double mean)
+{
+    if (mean <= 1.0)
+        return 1;
+    const double p = 1.0 / mean;
+    double u = rng.uniform();
+    if (u >= 1.0)
+        u = 0.999999999999;
+    return static_cast<std::uint64_t>(
+               std::floor(std::log1p(-u) / std::log1p(-p))) + 1;
+}
+
+/** Rng::zipf as first written: pow(n, 1 - s) on every draw. */
+std::uint64_t
+literalZipf(Rng &rng, std::uint64_t n, double s)
+{
+    if (n <= 1)
+        return 0;
+    const double u = rng.uniform();
+    if (s == 1.0) {
+        const double hn = std::log(static_cast<double>(n));
+        auto r = static_cast<std::uint64_t>(std::exp(u * hn)) - 1;
+        return r < n ? r : n - 1;
+    }
+    const double e = 1.0 - s;
+    const double nm = std::pow(static_cast<double>(n), e);
+    auto r = static_cast<std::uint64_t>(
+                 std::pow(u * (nm - 1.0) + 1.0, 1.0 / e)) - 1;
+    return r < n ? r : n - 1;
+}
+
+} // namespace
+
+TEST(Rng, GeometricDistMatchesLiteralFormula)
+{
+    // Twin generators: equal samples and an equal number of draws
+    // (a mean <= 1 must draw nothing).
+    for (double mean : {0.5, 1.0, 1.5, 8.0, 16.72, 1000.0}) {
+        Rng a(31), b(31);
+        const GeometricDist dist(mean);
+        for (int i = 0; i < 100'000; ++i)
+            ASSERT_EQ(dist(a), literalGeometric(b, mean))
+                << "mean " << mean << " draw " << i;
+        EXPECT_EQ(a.next(), b.next()) << "mean " << mean;
+        Rng c(31), d(31);
+        EXPECT_EQ(c.geometric(mean), literalGeometric(d, mean));
+    }
+}
+
+TEST(Rng, ZipfDistMatchesLiteralFormula)
+{
+    const std::pair<std::uint64_t, double> cases[] = {
+        {0, 0.6}, {1, 0.7}, {2, 0.6}, {37, 1.0}, {1000, 0.8},
+        {5243, 0.3}, {65536, 1.0}, {4096, 1.4}};
+    for (const auto &[n, s] : cases) {
+        Rng a(47), b(47);
+        const ZipfDist dist(n, s);
+        for (int i = 0; i < 100'000; ++i)
+            ASSERT_EQ(dist(a), literalZipf(b, n, s))
+                << "n " << n << " s " << s << " draw " << i;
+        EXPECT_EQ(a.next(), b.next()) << "n " << n << " s " << s;
+        Rng c(47), d(47);
+        EXPECT_EQ(c.zipf(n, s), literalZipf(d, n, s));
+    }
 }
 
 TEST(Stats, MeanTracker)

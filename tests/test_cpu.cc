@@ -6,6 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <queue>
+#include <vector>
+
+#include "common/rng.hh"
 #include "cpu/core_model.hh"
 
 using namespace chameleon;
@@ -76,4 +81,90 @@ TEST(CoreModel, IpcReflectsMemoryStalls)
     core.drain();
     // ~110 instructions over ~10*(10+90) cycles.
     EXPECT_NEAR(core.ipc(), 110.0 / 1000.0, 0.03);
+}
+
+namespace
+{
+
+/** The window as a min-heap: the reference the flat window matches. */
+struct HeapCore
+{
+    std::uint32_t maxOutstanding = 1;
+    Cycle clock = 0;
+    std::uint64_t retired = 0;
+    std::priority_queue<Cycle, std::vector<Cycle>, std::greater<Cycle>>
+        outstanding;
+
+    Cycle
+    issueRead()
+    {
+        while (outstanding.size() >= maxOutstanding) {
+            if (outstanding.top() > clock)
+                clock = outstanding.top();
+            outstanding.pop();
+        }
+        return clock;
+    }
+
+    void
+    drain()
+    {
+        while (!outstanding.empty()) {
+            if (outstanding.top() > clock)
+                clock = outstanding.top();
+            outstanding.pop();
+        }
+    }
+};
+
+} // namespace
+
+TEST(CoreModel, MatchesHeapWindowOnRandomSequences)
+{
+    for (std::uint32_t window : {1u, 2u, 4u}) {
+        CoreConfig cfg;
+        cfg.maxOutstanding = window;
+        CoreModel core(cfg);
+        HeapCore ref;
+        ref.maxOutstanding = window;
+        Rng rng(window);
+        for (int i = 0; i < 100'000; ++i) {
+            switch (rng.below(4)) {
+              case 0: {
+                const std::uint64_t n = rng.below(50);
+                core.retireCompute(n);
+                ref.clock += n;
+                ref.retired += n;
+                break;
+              }
+              case 1: {
+                const Cycle issue = core.issueRead();
+                ASSERT_EQ(issue, ref.issueRead()) << "op " << i;
+                // Completions land out of issue order.
+                const Cycle done = issue + 40 + rng.below(400);
+                core.completeRead(done);
+                ref.outstanding.push(done);
+                ++ref.retired;
+                ++ref.clock;
+                break;
+              }
+              case 2:
+                core.retireWrite();
+                ++ref.retired;
+                ++ref.clock;
+                break;
+              default:
+                if (rng.below(64) == 0) {
+                    core.drain();
+                    ref.drain();
+                }
+                break;
+            }
+            ASSERT_EQ(core.now(), ref.clock) << "op " << i;
+            ASSERT_EQ(core.retired(), ref.retired) << "op " << i;
+        }
+        core.drain();
+        ref.drain();
+        EXPECT_EQ(core.now(), ref.clock);
+    }
 }

@@ -163,6 +163,49 @@ TEST(DramDevice, RefreshBlackoutDelays)
     EXPECT_GT(dev.stats().refreshStalls, 0u);
 }
 
+TEST(DramDevice, RefreshWindowCacheOutOfOrder)
+{
+    // The device caches the tREFI window of the last request. A
+    // request that jumps back across windows must still get exactly
+    // the blackout a fresh device gives it. The earlier requests go
+    // to channel 1 so they leave channel 0's bank and bus untouched.
+    const DramTimings cfg = tinyConfig();
+    const auto t_refi =
+        static_cast<Cycle>(cfg.tRefiNs * cpuFreqGhz + 0.5);
+    const auto t_rfc =
+        static_cast<Cycle>(cfg.tRfcNs * cpuFreqGhz + 0.5);
+    const Cycle probes[] = {0, 1, t_rfc - 1, t_rfc, t_refi - 1, t_refi,
+                            t_refi + t_rfc / 2, 2 * t_refi + t_rfc};
+    const Cycle primes[] = {5 * t_refi + 3, 7 * t_refi + t_rfc + 9};
+    for (Cycle prime : primes) {
+        for (Cycle probe : probes) {
+            DramDevice fresh(cfg);
+            const Cycle want = fresh.access(0, AccessType::Read, probe);
+
+            DramDevice dev(cfg);
+            dev.access(64, AccessType::Read, prime);
+            dev.access(64 + 2 * cfg.rowBytes, AccessType::Read,
+                       prime + t_refi);
+            const std::uint64_t stalls0 = dev.stats().refreshStalls;
+            EXPECT_EQ(dev.access(0, AccessType::Read, probe), want)
+                << "prime " << prime << " probe " << probe;
+            EXPECT_EQ(dev.stats().refreshStalls - stalls0,
+                      fresh.stats().refreshStalls)
+                << "prime " << prime << " probe " << probe;
+        }
+    }
+}
+
+TEST(DramDevice, NonPowerOfTwoGeometryIsFatal)
+{
+    DramTimings three = tinyConfig();
+    three.channels = 3;
+    EXPECT_DEATH(DramDevice{three}, "channels 3 must be a power of two");
+    DramTimings banks = tinyConfig();
+    banks.banksPerRank = 6;
+    EXPECT_DEATH(DramDevice{banks}, "must be a power of two");
+}
+
 TEST(DramDevice, StatsCountReadsWritesBytes)
 {
     DramDevice dev(tinyConfig());

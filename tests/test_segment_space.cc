@@ -81,6 +81,21 @@ TEST(SegmentSpace, InvalidGeometriesAreFatal)
                  "multiple of");
     // 1:8 exceeds the supported slot count.
     EXPECT_DEATH(SegmentSpace(1_MiB, 8_MiB, 2_KiB), "exceeds");
+    // Group and slot decode shift by log2(segment size).
+    EXPECT_DEATH(SegmentSpace(3_MiB, 15_MiB, 1536), "power of two");
+    EXPECT_DEATH(SegmentSpace(4_MiB, 20_MiB, 0), "power of two");
+}
+
+TEST(SegmentSpace, OffsetIsWithinSegment)
+{
+    SegmentSpace s(4_MiB, 20_MiB, 2_KiB);
+    EXPECT_EQ(s.offsetOf(0), 0u);
+    EXPECT_EQ(s.offsetOf(2_KiB - 64), 2_KiB - 64);
+    EXPECT_EQ(s.offsetOf(4_MiB + 2_KiB + 128), 128u);
+    SegmentSpace fine(4_MiB, 20_MiB, 64);
+    EXPECT_EQ(fine.offsetOf(4_MiB + 64 * 7 + 8), 8u);
+    EXPECT_EQ(fine.groupOf(4_MiB + 64 * 7), 7u);
+    EXPECT_EQ(fine.slotOf(4_MiB + 64 * 7), 1u);
 }
 
 /** Randomized roundtrip property over the paper's three ratios. */

@@ -156,6 +156,124 @@ TEST(StreamGen, StationaryWithoutPhases)
     EXPECT_EQ(s.phase(), 0u);
 }
 
+TEST(StreamGen, FractionsOutsideUnitIntervalAreFatal)
+{
+    // Hot picks and phase steps wrap the footprint with one
+    // subtraction, which needs both fractions in [0, 1].
+    AppProfile hot = findProfile(tableTwoSuite(64), "mcf");
+    hot.hotFraction = 1.5;
+    EXPECT_DEATH(SyntheticStream(hot, 8_MiB, 1), "must lie in");
+    AppProfile shift = findProfile(tableTwoSuite(64), "mcf");
+    shift.phaseShiftFraction = -0.1;
+    EXPECT_DEATH(SyntheticStream(shift, 8_MiB, 1), "must lie in");
+}
+
+namespace
+{
+
+/** FNV-style fold of the first @p n MemOps and the final phase. */
+std::uint64_t
+streamHash(const AppProfile &p, std::uint64_t footprint,
+           std::uint64_t seed, int n = 200'000)
+{
+    SyntheticStream s(p, footprint, seed);
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    const auto fold = [&h](std::uint64_t v) {
+        h = (h ^ v) * 0x100000001b3ull;
+    };
+    for (int i = 0; i < n; ++i) {
+        const MemOp op = s.next();
+        fold(op.vaddr);
+        fold(static_cast<std::uint64_t>(op.type));
+        fold(op.gap);
+    }
+    fold(s.phase());
+    return h;
+}
+
+} // namespace
+
+/**
+ * The generator's exact output, pinned. The constants were recorded
+ * from the original per-draw generator (log1p/pow recomputed on every
+ * sample, `%` on every reference), so any rewrite of the hot path
+ * must reproduce it bit for bit. The edge profiles cover what the
+ * golden-stats app does not: Zipf skew 1.0, runs of mean <= 1 and gap
+ * means <= 1 (no RNG draw), a one-block hot set (no Zipf draw), a
+ * footprint below the 64-block floor, and phase rotation on a
+ * footprint small enough that both the hot window and hot picks wrap.
+ */
+TEST(Workloads, SyntheticStreamBitIdentical)
+{
+    const auto suite = tableTwoSuite(256);
+    const std::uint64_t suiteHashes[] = {
+        0xf1aa2ba97503d28aull, 0x69435a7ae73dea2eull,
+        0x9303830ef8b46a96ull, 0x2940b578587d9f6bull,
+        0x5bb9c010450f1f1full, 0x7ed3e232380b12e5ull,
+        0xaddd25a04e75da15ull, 0xd58399f996db82d3ull,
+        0xd56653b73066ebd5ull, 0x9816b412f0e24405ull,
+        0x5fa97da12de609b3ull, 0x1c63650976e7b2ffull,
+        0x093e6e248e4a8696ull, 0x4512b30b9d6a9de9ull,
+    };
+    ASSERT_EQ(suite.size(), std::size(suiteHashes));
+    for (std::size_t i = 0; i < suite.size(); ++i) {
+        const std::uint64_t h =
+            streamHash(suite[i], suite[i].copyFootprint(), i + 1);
+        EXPECT_EQ(h, suiteHashes[i])
+            << suite[i].name << std::hex << " got 0x" << h;
+    }
+
+    struct Edge
+    {
+        const char *name;
+        std::uint64_t footprint;
+        void (*tune)(AppProfile &);
+        std::uint64_t hash;
+    };
+    const Edge edges[] = {
+        {"zipf-skew-1", 4_MiB, [](AppProfile &p) { p.zipfSkew = 1.0; },
+         0x39545bf24eecb70eull},
+        {"run-mean-1", 4_MiB, [](AppProfile &p) { p.seqRunBlocks = 1.0; },
+         0x9534e20ccc15f99bull},
+        {"run-mean-half", 4_MiB,
+         [](AppProfile &p) { p.seqRunBlocks = 0.5; },
+         0x79dc190d28edfc4bull},
+        {"mpki-1000", 4_MiB, [](AppProfile &p) { p.llcMpki = 1000.0; },
+         0x99f115d5619a12c3ull},
+        {"mpki-4000", 4_MiB, [](AppProfile &p) { p.llcMpki = 4000.0; },
+         0x32443967a36c0fabull},
+        {"hot-one-block", 4_MiB,
+         [](AppProfile &p) { p.hotFraction = 0.0; },
+         0x8dbdc771ca4466c4ull},
+        {"below-block-floor", 1_KiB, [](AppProfile &) {},
+         0x26c686bb41fb4b3full},
+        {"phase-wrap", 4_KiB,
+         [](AppProfile &p) {
+             p.hotFraction = 0.9;
+             p.phaseInstructions = 500;
+             p.phaseShiftFraction = 1.0;
+         },
+         0xf20466a50995c7c5ull},
+        {"phase-whole-footprint", 1_MiB,
+         [](AppProfile &p) {
+             p.hotFraction = 1.0;
+             p.zipfSkew = 1.0;
+             p.phaseInstructions = 7'000;
+             p.phaseShiftFraction = 0.3;
+         },
+         0x7bc7b8690a059f65ull},
+    };
+    for (std::size_t i = 0; i < std::size(edges); ++i) {
+        AppProfile p = findProfile(suite, "mcf");
+        p.name = edges[i].name;
+        edges[i].tune(p);
+        const std::uint64_t h =
+            streamHash(p, edges[i].footprint, 100 + i);
+        EXPECT_EQ(h, edges[i].hash)
+            << edges[i].name << std::hex << " got 0x" << h;
+    }
+}
+
 /** Parameterized fidelity sweep over the full Table II suite. */
 class SuiteFidelity : public ::testing::TestWithParam<int>
 {
