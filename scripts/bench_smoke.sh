@@ -17,7 +17,7 @@
 # With chameleond + chameleonctl binaries as the third and fourth
 # arguments it additionally smoke-tests the serving daemon: start it
 # on an ephemeral port, submit one run per design through the client,
-# snapshot metrics, then SIGTERM it under a drain and require exit 0
+# scrape its stats, then SIGTERM it under a drain and require exit 0
 # with zero lost jobs.
 #
 # With a serve_load binary as the fifth argument it additionally runs
@@ -150,7 +150,7 @@ if [ -n "$MICRO" ]; then
 fi
 
 # Serving-daemon stage (needs chameleond + chameleonctl): one run per
-# design through the wire protocol, a metrics scrape, then a SIGTERM
+# design through the wire protocol, a stats scrape, then a SIGTERM
 # drain that must exit 0 having lost no accepted job.
 if [ -n "$DAEMON" ] && [ -n "$CTL" ]; then
     DLOG="$(mktemp /tmp/bench_smoke.XXXXXX.chameleond.log)"
@@ -199,15 +199,15 @@ if [ -n "$DAEMON" ] && [ -n "$CTL" ]; then
         }
     done
 
-    # Metrics scrape must show all 7 accepted jobs completed ok.
-    "$CTL" --port "$PORT" metrics > "$OUT"
-    grep -q '"serve_jobs_accepted":7' "$OUT" || {
-        echo "bench_smoke: metrics lost accepted jobs" >&2
+    # Stats scrape must show all 7 accepted jobs completed ok.
+    "$CTL" --port "$PORT" stats > "$OUT"
+    grep -qx 'serve_jobs_accepted 7' "$OUT" || {
+        echo "bench_smoke: stats lost accepted jobs" >&2
         cat "$OUT" >&2
         exit 1
     }
-    grep -q '"serve_jobs_ok":7' "$OUT" || {
-        echo "bench_smoke: metrics lost completed jobs" >&2
+    grep -qx 'serve_jobs_ok 7' "$OUT" || {
+        echo "bench_smoke: stats lost completed jobs" >&2
         cat "$OUT" >&2
         exit 1
     }

@@ -30,6 +30,8 @@
 #include <utility>
 #include <vector>
 
+#include "common/rng.hh"
+
 namespace chameleon
 {
 
@@ -46,10 +48,8 @@ struct FlatHash
     std::size_t
     operator()(const Key &k) const
     {
-        std::uint64_t z = static_cast<std::uint64_t>(Inner()(k));
-        z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-        z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-        return static_cast<std::size_t>(z ^ (z >> 31));
+        return static_cast<std::size_t>(
+            splitMix64Mix(static_cast<std::uint64_t>(Inner()(k))));
     }
 };
 

@@ -97,4 +97,40 @@ strFormat(const char *fmt, ...)
     return std::string(buf.data(), static_cast<size_t>(n));
 }
 
+bool
+readWholeFile(const std::string &path, std::string &out,
+              std::string &error)
+{
+    std::FILE *f = std::fopen(path.c_str(), "rb");
+    if (!f) {
+        error = "cannot open '" + path + "'";
+        return false;
+    }
+    out.clear();
+    char buf[1 << 16];
+    std::size_t n;
+    while ((n = std::fread(buf, 1, sizeof buf, f)) > 0)
+        out.append(buf, n);
+    const bool bad = std::ferror(f) != 0;
+    std::fclose(f);
+    if (bad) {
+        error = "read error on '" + path + "'";
+        return false;
+    }
+    return true;
+}
+
+void
+writeWholeFile(const std::string &path, const std::string &body,
+               const char *who)
+{
+    std::FILE *f = std::fopen(path.c_str(), "w");
+    if (!f)
+        fatal("%s: cannot open '%s' for writing", who, path.c_str());
+    const std::size_t wrote =
+        std::fwrite(body.data(), 1, body.size(), f);
+    if (std::fclose(f) != 0 || wrote != body.size())
+        fatal("%s: short write to '%s'", who, path.c_str());
+}
+
 } // namespace chameleon

@@ -41,6 +41,20 @@ void setQuiet(bool quiet);
 std::string strFormat(const char *fmt, ...)
     __attribute__((format(printf, 1, 2)));
 
+/**
+ * Read all of @p path into @p out. On failure returns false with
+ * @p error set to "cannot open '<path>'" or "read error on '<path>'".
+ */
+bool readWholeFile(const std::string &path, std::string &out,
+                   std::string &error);
+
+/**
+ * Replace @p path with @p body. fatal()s with "<who>: cannot open
+ * '<path>' for writing" or "<who>: short write to '<path>'".
+ */
+void writeWholeFile(const std::string &path, const std::string &body,
+                    const char *who);
+
 } // namespace chameleon
 
 #endif // CHAMELEON_COMMON_LOG_HH

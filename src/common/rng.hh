@@ -17,6 +17,24 @@
 namespace chameleon
 {
 
+/** The SplitMix64 output mixer: a strong 64-bit finalizer. */
+inline std::uint64_t
+splitMix64Mix(std::uint64_t z)
+{
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+    return z ^ (z >> 31);
+}
+
+/** One SplitMix64 step (Steele, Lea & Flood): advance @p state by
+ *  the golden gamma and return its mixed value. */
+inline std::uint64_t
+splitMix64(std::uint64_t &state)
+{
+    state += 0x9e3779b97f4a7c15ull;
+    return splitMix64Mix(state);
+}
+
 /** Deterministic xoshiro256** generator with distribution helpers. */
 class Rng
 {
@@ -25,13 +43,8 @@ class Rng
     explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ull)
     {
         std::uint64_t x = seed;
-        for (auto &word : state) {
-            x += 0x9e3779b97f4a7c15ull;
-            std::uint64_t z = x;
-            z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-            z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-            word = z ^ (z >> 31);
-        }
+        for (auto &word : state)
+            word = splitMix64(x);
     }
 
     /** Next raw 64-bit value. */

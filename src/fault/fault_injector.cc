@@ -11,14 +11,11 @@ namespace chameleon
 namespace
 {
 
-/** SplitMix64 finalizer: deterministic hash to a 64-bit value. */
+/** One SplitMix64 step from @p x: deterministic hash to 64 bits. */
 std::uint64_t
 mix64(std::uint64_t x)
 {
-    x += 0x9e3779b97f4a7c15ull;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    return x ^ (x >> 31);
+    return splitMix64(x);
 }
 
 /** Deterministic hash of up to three keys to a double in [0, 1). */

@@ -1,7 +1,5 @@
 #include "obs/metrics_registry.hh"
 
-#include <cstdio>
-
 #include "common/json.hh"
 #include "common/log.hh"
 
@@ -104,14 +102,7 @@ MetricsRegistry::writeSeries(const std::string &path) const
 {
     const bool json = path.size() >= 5 &&
                       path.compare(path.size() - 5, 5, ".json") == 0;
-    const std::string body = json ? toJson() : toCsv();
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f)
-        fatal("metrics: cannot open '%s' for writing", path.c_str());
-    const std::size_t wrote =
-        std::fwrite(body.data(), 1, body.size(), f);
-    if (std::fclose(f) != 0 || wrote != body.size())
-        fatal("metrics: short write to '%s'", path.c_str());
+    writeWholeFile(path, json ? toJson() : toCsv(), "metrics");
 }
 
 } // namespace chameleon

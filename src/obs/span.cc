@@ -4,41 +4,16 @@
 #include <atomic>
 #include <chrono>
 #include <cinttypes>
-#include <cstdio>
 #include <random>
 
 #include "common/json.hh"
 #include "common/log.hh"
+#include "common/rng.hh"
 
 namespace chameleon
 {
 namespace
 {
-
-std::uint64_t
-nextSpanSinkId()
-{
-    static std::atomic<std::uint64_t> counter{0};
-    return ++counter;
-}
-
-/** The calling thread's (sink id → ring) fast-path cache. */
-struct SpanRingCache
-{
-    std::uint64_t sinkId = 0; ///< 0 never matches a live sink
-    void *ring = nullptr;
-};
-
-thread_local SpanRingCache tlSpanRingCache;
-
-std::uint64_t
-splitMix64(std::uint64_t x)
-{
-    x += 0x9E3779B97F4A7C15ULL;
-    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-    x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-    return x ^ (x >> 31);
-}
 
 /** Process-wide id generator: a random base (so concurrent
  *  processes do not collide) advanced by an atomic counter and
@@ -52,8 +27,10 @@ nextUniqueId()
     }();
     static std::atomic<std::uint64_t> counter{0};
     std::uint64_t id = 0;
-    while (id == 0)
-        id = splitMix64(base + ++counter);
+    while (id == 0) {
+        std::uint64_t state = base + ++counter;
+        id = splitMix64(state);
+    }
     return id;
 }
 
@@ -137,49 +114,10 @@ parseHexU64(const std::string &s, std::uint64_t &out)
 }
 
 SpanSink::SpanSink(const SpanSinkConfig &config)
-    : cfg(config), id(nextSpanSinkId())
+    : cfg(config), rings(config.ringSpans)
 {
     if (cfg.ringSpans == 0)
         fatal("span: ring capacity must be non-zero");
-}
-
-SpanSink::~SpanSink() = default;
-
-SpanSink::Ring &
-SpanSink::localRing()
-{
-    if (tlSpanRingCache.sinkId == id)
-        return *static_cast<Ring *>(tlSpanRingCache.ring);
-
-    std::lock_guard<std::mutex> guard(registryMtx);
-    const std::thread::id self = std::this_thread::get_id();
-    Ring *ring = nullptr;
-    for (std::size_t i = 0; i < rings.size(); ++i) {
-        if (ringOwners[i] == self) {
-            ring = rings[i].get();
-            break;
-        }
-    }
-    if (!ring) {
-        rings.push_back(std::make_unique<Ring>(cfg.ringSpans));
-        ringOwners.push_back(self);
-        ring = rings.back().get();
-    }
-    tlSpanRingCache = SpanRingCache{id, ring};
-    return *ring;
-}
-
-void
-SpanSink::appendRetained(const Ring &ring,
-                         std::vector<SpanRecord> &out)
-{
-    const std::size_t cap = ring.spans.size();
-    const std::size_t kept =
-        static_cast<std::size_t>(std::min<std::uint64_t>(ring.head, cap));
-    const std::size_t start =
-        ring.head > cap ? static_cast<std::size_t>(ring.head % cap) : 0;
-    for (std::size_t i = 0; i < kept; ++i)
-        out.push_back(ring.spans[(start + i) % cap]);
 }
 
 void
@@ -201,28 +139,12 @@ SpanSink::setServerId(std::uint64_t server_id)
     serverId = server_id;
 }
 
-SpanSinkStats
-SpanSink::stats() const
-{
-    std::lock_guard<std::mutex> guard(registryMtx);
-    SpanSinkStats s;
-    for (const auto &ring : rings) {
-        const std::uint64_t kept =
-            std::min<std::uint64_t>(ring->head, ring->spans.size());
-        s.recorded += ring->head;
-        s.retained += kept;
-        s.dropped += ring->head - kept;
-    }
-    return s;
-}
-
 std::vector<SpanRecord>
 SpanSink::sortedSpans() const
 {
-    std::lock_guard<std::mutex> guard(registryMtx);
     std::vector<SpanRecord> all;
-    for (const auto &ring : rings)
-        appendRetained(*ring, all);
+    rings.forEachRetained(
+        [&all](std::size_t, const SpanRecord &sp) { all.push_back(sp); });
     std::stable_sort(all.begin(), all.end(),
                      [](const SpanRecord &a, const SpanRecord &b) {
                          return a.startUs < b.startUs;
@@ -291,14 +213,7 @@ SpanSink::toPerfettoJson() const
 void
 SpanSink::writePerfettoJson(const std::string &path) const
 {
-    const std::string json = toPerfettoJson();
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f)
-        fatal("span: cannot open '%s' for writing", path.c_str());
-    const std::size_t wrote =
-        std::fwrite(json.data(), 1, json.size(), f);
-    if (std::fclose(f) != 0 || wrote != json.size())
-        fatal("span: short write to '%s'", path.c_str());
+    writeWholeFile(path, toPerfettoJson(), "span");
 }
 
 } // namespace chameleon

@@ -6,13 +6,12 @@
  * pool hedge arm, the server's queue wait — tied to a 128-bit trace
  * id that travels across the wire (protocol v4) so every process
  * that touched a job tags its spans with the same id. Each process
- * records into a SpanSink — the same lock-free per-thread
- * overwrite-oldest ring discipline as TraceSink, so the serving hot
- * paths pay one branch when tracing is off and a few stores when it
- * is on — and flushes to its own Perfetto JSON file. The
- * trace_merge tool (src/obs/trace_merge.hh) stitches those files
- * into one cross-process timeline, correcting clock skew from the
- * handshake timestamp echo each SubmitRunReply carries.
+ * records into a SpanSink (one branch on the serving hot paths when
+ * tracing is off, a ring push when it is on) and flushes to its own
+ * Perfetto JSON file. The trace_merge tool (src/obs/trace_merge.hh)
+ * stitches those files into one cross-process timeline, correcting
+ * clock skew from the handshake timestamp echo each SubmitRunReply
+ * carries.
  *
  * Sampling contract: the *requester* decides the sampled flag
  * (protocol traceFlags bit 0) and every hop buffers its spans per
@@ -26,11 +25,11 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
+
+#include "obs/thread_rings.hh"
 
 namespace chameleon
 {
@@ -105,38 +104,24 @@ struct SpanSinkConfig
     std::string process = "chameleon";
 };
 
-struct SpanSinkStats
-{
-    std::uint64_t recorded = 0;
-    std::uint64_t dropped = 0; ///< overwritten before export
-    std::uint64_t retained = 0;
-};
+using SpanSinkStats = ThreadRingStats;
 
 /**
- * Per-process span collector: lock-free per-thread rings (the
- * registry mutex is only taken on a thread's first record and by
- * readers), overwrite-oldest so a hot server can never block on
- * tracing. Also the per-process aggregation point for the clock
- * offsets learned from SubmitRunReply timestamp echoes, so one JSON
- * file carries everything trace_merge needs.
+ * Per-process span collector over a ThreadRings<SpanRecord>
+ * (obs/thread_rings.hh), overwrite-oldest so a hot server can never
+ * block on tracing. Also the per-process aggregation point for the
+ * clock offsets learned from SubmitRunReply timestamp echoes, so one
+ * JSON file carries everything trace_merge needs.
  */
 class SpanSink
 {
   public:
     explicit SpanSink(const SpanSinkConfig &config = {});
-    ~SpanSink();
 
     SpanSink(const SpanSink &) = delete;
     SpanSink &operator=(const SpanSink &) = delete;
 
-    void
-    record(const SpanRecord &span)
-    {
-        Ring &ring = localRing();
-        ring.spans[static_cast<std::size_t>(ring.head) %
-                   ring.spans.size()] = span;
-        ++ring.head;
-    }
+    void record(const SpanRecord &span) { rings.push(span); }
 
     /** Null-safe helper so call sites stay one branch when off. */
     static void
@@ -160,9 +145,11 @@ class SpanSink
      *  JSON metadata so client offset maps can find this file). */
     void setServerId(std::uint64_t serverId);
 
-    SpanSinkStats stats() const;
+    /** Safe while producers record (the daemon scrapes it). */
+    SpanSinkStats stats() const { return rings.stats(); }
 
-    /** All retained spans, every ring, sorted by startUs. */
+    /** All retained spans, every ring, sorted by startUs. Producers
+     *  must be quiescent. */
     std::vector<SpanRecord> sortedSpans() const;
 
     /** Perfetto/Chrome trace JSON: one complete-event ("ph":"X") per
@@ -170,32 +157,15 @@ class SpanSink
     std::string toPerfettoJson() const;
     void writePerfettoJson(const std::string &path) const;
 
-    const SpanSinkConfig &config() const { return cfg; }
-
   private:
-    struct Ring
-    {
-        explicit Ring(std::size_t cap) : spans(cap) {}
-        std::vector<SpanRecord> spans;
-        std::uint64_t head = 0; ///< total recorded; slot = head % cap
-    };
-
     struct OffsetEstimate
     {
         std::int64_t offsetUs = 0;
         std::uint64_t rttUs = 0;
     };
 
-    Ring &localRing();
-    static void appendRetained(const Ring &ring,
-                               std::vector<SpanRecord> &out);
-
     SpanSinkConfig cfg;
-    std::uint64_t id; ///< process-unique, distinguishes sinks in TLS
-
-    mutable std::mutex registryMtx;
-    std::vector<std::unique_ptr<Ring>> rings;
-    std::vector<std::thread::id> ringOwners;
+    ThreadRings<SpanRecord> rings;
 
     mutable std::mutex metaMtx;
     std::map<std::uint64_t, OffsetEstimate> offsets;

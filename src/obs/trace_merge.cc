@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cinttypes>
-#include <cstdio>
 #include <map>
 #include <set>
 
@@ -16,38 +15,9 @@ namespace
 {
 
 bool
-readWholeFile(const std::string &path, std::string &out,
-              std::string &error)
-{
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (!f) {
-        error = "cannot open '" + path + "'";
-        return false;
-    }
-    out.clear();
-    char buf[1 << 16];
-    std::size_t n;
-    while ((n = std::fread(buf, 1, sizeof buf, f)) > 0)
-        out.append(buf, n);
-    const bool bad = std::ferror(f);
-    std::fclose(f);
-    if (bad) {
-        error = "read error on '" + path + "'";
-        return false;
-    }
-    return true;
-}
-
-const JsonValue *
-objGet(const JsonValue &v, const char *key)
-{
-    return v.get(key);
-}
-
-bool
 hexField(const JsonValue &args, const char *key, std::uint64_t &out)
 {
-    const JsonValue *v = objGet(args, key);
+    const JsonValue *v = args.get(key);
     if (!v || v->type != JsonValue::Type::String)
         return false;
     return parseHexU64(v->string, out);

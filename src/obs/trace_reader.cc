@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cstdio>
 #include <cstdlib>
 
 #include "common/log.hh"
@@ -359,23 +358,9 @@ bool
 loadChromeTraceFile(const std::string &path, ParsedTrace &out,
                     std::string &error)
 {
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (!f) {
-        error = strFormat("cannot open '%s'", path.c_str());
-        return false;
-    }
     std::string text;
-    char buf[1 << 16];
-    std::size_t got;
-    while ((got = std::fread(buf, 1, sizeof(buf), f)) > 0)
-        text.append(buf, got);
-    const bool readError = std::ferror(f) != 0;
-    std::fclose(f);
-    if (readError) {
-        error = strFormat("read error on '%s'", path.c_str());
-        return false;
-    }
-    return loadChromeTrace(text, out, error);
+    return readWholeFile(path, text, error) &&
+           loadChromeTrace(text, out, error);
 }
 
 std::vector<TraceCategoryStats>

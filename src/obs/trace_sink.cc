@@ -1,37 +1,17 @@
 #include "obs/trace_sink.hh"
 
 #include <algorithm>
-#include <atomic>
 #include <cinttypes>
+#include <cstdio>
 
 #include "common/json.hh"
 #include "common/log.hh"
 
 namespace chameleon
 {
-namespace
-{
-
-std::uint64_t
-nextSinkId()
-{
-    static std::atomic<std::uint64_t> counter{0};
-    return ++counter;
-}
-
-/** The calling thread's (sink id → ring) fast-path cache. */
-struct RingCache
-{
-    std::uint64_t sinkId = 0; ///< 0 never matches a live sink
-    void *ring = nullptr;
-};
-
-thread_local RingCache tlRingCache;
-
-} // namespace
 
 TraceSink::TraceSink(const TraceSinkConfig &config)
-    : cfg(config), id(nextSinkId())
+    : cfg(config), rings(config.ringEvents)
 {
     if (cfg.ringEvents == 0)
         fatal("trace: ring capacity must be non-zero");
@@ -39,68 +19,12 @@ TraceSink::TraceSink(const TraceSinkConfig &config)
         fatal("trace: cycles-per-microsecond must be positive");
 }
 
-TraceSink::~TraceSink() = default;
-
-TraceSink::Ring &
-TraceSink::localRing()
-{
-    if (tlRingCache.sinkId == id)
-        return *static_cast<Ring *>(tlRingCache.ring);
-
-    std::lock_guard<std::mutex> guard(registryMtx);
-    const std::thread::id self = std::this_thread::get_id();
-    Ring *ring = nullptr;
-    for (std::size_t i = 0; i < rings.size(); ++i) {
-        if (ringOwners[i] == self) {
-            ring = rings[i].get();
-            break;
-        }
-    }
-    if (!ring) {
-        rings.push_back(std::make_unique<Ring>(cfg.ringEvents));
-        ringOwners.push_back(self);
-        ring = rings.back().get();
-    }
-    tlRingCache = RingCache{id, ring};
-    return *ring;
-}
-
-void
-TraceSink::appendRetained(const Ring &ring, std::vector<TraceEvent> &out)
-{
-    const std::size_t cap = ring.events.size();
-    const std::size_t kept =
-        static_cast<std::size_t>(std::min<std::uint64_t>(ring.head, cap));
-    // Oldest retained event first: when the ring has wrapped, that is
-    // the slot the next record() would overwrite.
-    const std::size_t start =
-        ring.head > cap ? static_cast<std::size_t>(ring.head % cap) : 0;
-    for (std::size_t i = 0; i < kept; ++i)
-        out.push_back(ring.events[(start + i) % cap]);
-}
-
-TraceSinkStats
-TraceSink::stats() const
-{
-    std::lock_guard<std::mutex> guard(registryMtx);
-    TraceSinkStats s;
-    for (const auto &ring : rings) {
-        const std::uint64_t kept =
-            std::min<std::uint64_t>(ring->head, ring->events.size());
-        s.recorded += ring->head;
-        s.retained += kept;
-        s.dropped += ring->head - kept;
-    }
-    return s;
-}
-
 std::vector<TraceEvent>
 TraceSink::sortedEvents() const
 {
-    std::lock_guard<std::mutex> guard(registryMtx);
     std::vector<TraceEvent> all;
-    for (const auto &ring : rings)
-        appendRetained(*ring, all);
+    rings.forEachRetained(
+        [&all](std::size_t, const TraceEvent &ev) { all.push_back(ev); });
     std::stable_sort(all.begin(), all.end(),
                      [](const TraceEvent &a, const TraceEvent &b) {
                          return a.when < b.when;
@@ -117,16 +41,9 @@ TraceSink::toChromeJson() const
         std::size_t tid;
     };
     std::vector<Tagged> all;
-    {
-        std::lock_guard<std::mutex> guard(registryMtx);
-        std::vector<TraceEvent> one;
-        for (std::size_t t = 0; t < rings.size(); ++t) {
-            one.clear();
-            appendRetained(*rings[t], one);
-            for (const TraceEvent &ev : one)
-                all.push_back(Tagged{ev, t});
-        }
-    }
+    rings.forEachRetained([&all](std::size_t tid, const TraceEvent &ev) {
+        all.push_back(Tagged{ev, tid});
+    });
     // Monotonic "ts" regardless of how thread buffers interleave.
     std::stable_sort(all.begin(), all.end(),
                      [](const Tagged &a, const Tagged &b) {
@@ -184,14 +101,7 @@ TraceSink::toChromeJson() const
 void
 TraceSink::writeChromeJson(const std::string &path) const
 {
-    const std::string json = toChromeJson();
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f)
-        fatal("trace: cannot open '%s' for writing", path.c_str());
-    const std::size_t wrote =
-        std::fwrite(json.data(), 1, json.size(), f);
-    if (std::fclose(f) != 0 || wrote != json.size())
-        fatal("trace: short write to '%s'", path.c_str());
+    writeWholeFile(path, toChromeJson(), "trace");
 }
 
 void

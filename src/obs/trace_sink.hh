@@ -2,13 +2,11 @@
  * @file
  * TraceSink — the event collector of the observability layer.
  *
- * Recording is lock-free on the hot path: each producing thread owns
- * a private ring buffer (registered once under a mutex on its first
- * record() into a given sink), and every subsequent record() is a
- * plain store into that ring with no synchronization. A full ring
- * overwrites its oldest events — the tail of a run is what a
- * debugging session needs — and the number of overwritten events is
- * reported per buffer, never silently hidden.
+ * Events go into a ThreadRings<TraceEvent> (obs/thread_rings.hh):
+ * one lock-free overwrite-oldest ring per producing thread. A full
+ * ring keeps the tail of a run, which is what a debugging session
+ * needs, and the overwritten events are counted, never silently
+ * hidden.
  *
  * Export produces Chrome trace-event JSON (the format Perfetto and
  * chrome://tracing load): instant events per TraceKind, plus counter
@@ -21,21 +19,18 @@
  * pointer (see TraceSink::emit), keeping instrumented hot loops
  * within noise of the uninstrumented build.
  *
- * A sink may be shared by several single-producer threads (the
- * per-thread rings make that safe), but export/dump must run after
- * the producers have quiesced — one sink per sweep cell in practice.
+ * A sink may be shared by several single-producer threads and
+ * stats() may run beside them, but export/dump must run after the
+ * producers have quiesced — one sink per sweep cell in practice.
  */
 
 #ifndef CHAMELEON_OBS_TRACE_SINK_HH
 #define CHAMELEON_OBS_TRACE_SINK_HH
 
-#include <cstdio>
-#include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
+#include "obs/thread_rings.hh"
 #include "obs/trace_event.hh"
 
 namespace chameleon
@@ -54,20 +49,14 @@ struct TraceSinkConfig
     double cyclesPerMicrosecond = 3600.0;
 };
 
-/** Per-category / total event accounting. */
-struct TraceSinkStats
-{
-    std::uint64_t recorded = 0; ///< events ever recorded
-    std::uint64_t dropped = 0;  ///< overwritten by ring wraparound
-    std::uint64_t retained = 0; ///< events currently in the rings
-};
+/** Total event accounting. */
+using TraceSinkStats = ThreadRingStats;
 
 /** The event collector. */
 class TraceSink
 {
   public:
     explicit TraceSink(const TraceSinkConfig &config = TraceSinkConfig());
-    ~TraceSink();
 
     TraceSink(const TraceSink &) = delete;
     TraceSink &operator=(const TraceSink &) = delete;
@@ -77,10 +66,7 @@ class TraceSink
     record(Cycle when, TraceKind kind, std::uint64_t a0 = 0,
            std::uint64_t a1 = 0, std::uint64_t a2 = 0)
     {
-        Ring &ring = localRing();
-        ring.events[ring.head % ring.events.size()] =
-            TraceEvent{when, kind, a0, a1, a2};
-        ++ring.head;
+        rings.push(TraceEvent{when, kind, a0, a1, a2});
     }
 
     /**
@@ -103,8 +89,9 @@ class TraceSink
         record(when, kind, traceEncodeValue(value));
     }
 
-    /** Aggregate accounting over every thread buffer. */
-    TraceSinkStats stats() const;
+    /** Aggregate accounting over every thread buffer; safe while
+     *  producers record. */
+    TraceSinkStats stats() const { return rings.stats(); }
 
     /**
      * All retained events, merged across thread buffers and sorted by
@@ -127,35 +114,9 @@ class TraceSink
     void dumpRecentForGroup(std::uint64_t group, std::size_t n = 64)
         const;
 
-    /** Ring capacity per producing thread. */
-    std::size_t ringCapacity() const { return cfg.ringEvents; }
-
   private:
-    struct Ring
-    {
-        explicit Ring(std::size_t capacity) : events(capacity) {}
-        std::vector<TraceEvent> events;
-        /** Total events ever recorded; head % size is the write slot. */
-        std::uint64_t head = 0;
-    };
-
-    /** This thread's ring for this sink (registers on first use). */
-    Ring &localRing();
-
-    /** Retained events of one ring, oldest first. */
-    static void appendRetained(const Ring &ring,
-                               std::vector<TraceEvent> &out);
-
     TraceSinkConfig cfg;
-    /**
-     * Process-unique sink id. The thread-local ring cache is keyed on
-     * this rather than the sink address so a new sink allocated where
-     * a destroyed one lived can never inherit a stale ring pointer.
-     */
-    std::uint64_t id;
-    mutable std::mutex registryMtx;
-    std::vector<std::unique_ptr<Ring>> rings;
-    std::vector<std::thread::id> ringOwners; ///< parallel to rings
+    ThreadRings<TraceEvent> rings;
 };
 
 /**

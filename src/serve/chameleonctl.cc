@@ -20,7 +20,6 @@
  *       carries "shard", "attempts", "failovers" and "hedged".
  *   status <jobid>      Print the job's state.
  *   result <jobid> [--wait MS]
- *   metrics             Print the daemon metrics snapshot (JSON).
  *   stats [--watch] [--interval-ms MS] [--count N]
  *       Print the Prometheus-style stats exposition: every daemon
  *       metric, queue-wait/service/e2e latency histograms
@@ -184,7 +183,7 @@ usage()
         "usage: chameleonctl --port N | --ports N1,N2,... [--host H] "
         "[--timeout MS] [--retries N] [--hedge-ms MS] [--no-hedge] "
         "[--trace-out PATH] [--trace-sample-pct P] "
-        "<submit|status|result|metrics|stats|health|drain|shutdown> "
+        "<submit|status|result|stats|health|drain|shutdown> "
         "...\n");
     return 1;
 }
@@ -496,11 +495,6 @@ main(int argc, char **argv)
             const JobResultReply r = client.result(id, waitMs);
             printResult(r, nullptr, nullptr);
             return resultExitCode(r);
-        }
-
-        if (cmd == "metrics") {
-            std::printf("%s\n", client.metricsJson().c_str());
-            return 0;
         }
 
         if (cmd == "stats") {

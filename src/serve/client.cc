@@ -272,15 +272,6 @@ Client::statsText()
     return m.text;
 }
 
-std::string
-Client::metricsJson()
-{
-    const Frame reply = roundTrip(MsgType::MetricsSnapshot, {});
-    const MetricsReply m = expectReply<MetricsReply>(
-        *this, reply, MsgType::MetricsReply, decodeMetricsReply);
-    return m.json;
-}
-
 HealthReply
 Client::health()
 {

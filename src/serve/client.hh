@@ -112,7 +112,6 @@ class Client
      */
     JobResultReply result(std::uint64_t job_id,
                           std::uint32_t wait_ms = 0);
-    std::string metricsJson();
     HealthReply health();
     DrainReply drain();
     void shutdown();

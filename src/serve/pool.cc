@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "common/log.hh"
+#include "common/rng.hh"
 #include "obs/metrics_registry.hh"
 #include "serve/result_cache.hh"
 
@@ -28,11 +29,8 @@ constexpr std::size_t kLatencyWindow = 256;
 std::uint64_t
 hashLabel(const std::string &s)
 {
-    std::uint64_t z = fnv1a64(
-        reinterpret_cast<const std::uint8_t *>(s.data()), s.size());
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-    return z ^ (z >> 31);
+    return splitMix64Mix(fnv1a64(
+        reinterpret_cast<const std::uint8_t *>(s.data()), s.size()));
 }
 
 /** p-th percentile (0..1) of @p samples by copy-and-sort; the window

@@ -453,36 +453,12 @@ decodeJobResultReply(const std::vector<std::uint8_t> &p,
 }
 
 std::vector<std::uint8_t>
-encodeMetricsReply(const MetricsReply &m)
-{
-    WireWriter w;
-    // The metrics document may legitimately exceed kMaxStringBytes,
-    // so it travels as raw bytes bounded by the frame cap instead of
-    // a length-checked string field.
-    w.u32(static_cast<std::uint32_t>(m.json.size()));
-    std::vector<std::uint8_t> out = w.take();
-    out.insert(out.end(), m.json.begin(), m.json.end());
-    return out;
-}
-
-bool
-decodeMetricsReply(const std::vector<std::uint8_t> &p, MetricsReply &m)
-{
-    WireReader r(p);
-    std::uint32_t len;
-    if (!r.u32(len) || len != p.size() - 4)
-        return false;
-    m.json.assign(reinterpret_cast<const char *>(p.data()) + 4, len);
-    return true;
-}
-
-std::vector<std::uint8_t>
 encodeStatsReply(const StatsReply &m)
 {
     WireWriter w;
-    // Like the metrics document, the stats exposition may exceed
-    // kMaxStringBytes; carry it as raw bytes bounded by the frame
-    // cap.
+    // The stats exposition may exceed kMaxStringBytes, so it
+    // travels as raw bytes bounded by the frame cap instead of a
+    // length-checked string field.
     w.u32(static_cast<std::uint32_t>(m.text.size()));
     std::vector<std::uint8_t> out = w.take();
     out.insert(out.end(), m.text.begin(), m.text.end());

@@ -29,8 +29,10 @@
  *                     waitMs > 0 blocks server-side until the job is
  *                     terminal or the wait expires (state then still
  *                     Queued/Running)
- *   MetricsSnapshot-> MetricsReply         (JSON from the daemon's
- *                                           obs::MetricsRegistry)
+ *   Stats          -> StatsReply           (Prometheus text: every
+ *                                           obs::MetricsRegistry
+ *                                           metric, histograms and
+ *                                           slow-request exemplars)
  *   Health         -> HealthReply
  *   Drain          -> DrainReply           (refuse new jobs, finish
  *                                           accepted ones)
@@ -81,8 +83,9 @@ enum class MsgType : std::uint16_t
     JobStatusReply = 4,
     JobResult = 5,
     JobResultReply = 6,
-    MetricsSnapshot = 7,
-    MetricsReply = 8,
+    // 7 and 8 carried MetricsSnapshot / MetricsReply, a JSON copy of
+    // what Stats exposes. They are retired and never to be reused: an
+    // old client sending 7 gets an UnknownType error.
     Health = 9,
     HealthReply = 10,
     Drain = 11,
@@ -326,16 +329,6 @@ struct JobResultReply
 /** Copy the RunResult scalars into a reply. */
 void fillResultReply(JobResultReply &reply, const RunResult &result);
 
-struct MetricsRequest
-{
-};
-
-struct MetricsReply
-{
-    /** Flat JSON object of daemon metrics (see server.cc). */
-    std::string json;
-};
-
 struct StatsRequest
 {
 };
@@ -419,10 +412,6 @@ bool decodeJobResult(const std::vector<std::uint8_t> &p,
 std::vector<std::uint8_t> encodeJobResultReply(const JobResultReply &m);
 bool decodeJobResultReply(const std::vector<std::uint8_t> &p,
                           JobResultReply &m);
-
-std::vector<std::uint8_t> encodeMetricsReply(const MetricsReply &m);
-bool decodeMetricsReply(const std::vector<std::uint8_t> &p,
-                        MetricsReply &m);
 
 std::vector<std::uint8_t> encodeStatsReply(const StatsReply &m);
 bool decodeStatsReply(const std::vector<std::uint8_t> &p,

@@ -6,6 +6,7 @@
 #include <thread>
 
 #include "common/log.hh"
+#include "common/rng.hh"
 
 namespace chameleon::serve
 {
@@ -14,17 +15,6 @@ namespace
 {
 
 using Clock = std::chrono::steady_clock;
-
-/** SplitMix64 step: the jitter stream. */
-std::uint64_t
-splitMix64(std::uint64_t &state)
-{
-    state += 0x9E3779B97F4A7C15ULL;
-    std::uint64_t z = state;
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-    return z ^ (z >> 31);
-}
 
 /** Uniform double in [0, 1) from one SplitMix64 draw. */
 double

@@ -520,9 +520,6 @@ Server::dispatchFrame(Conn &conn, const Frame &frame)
       case MsgType::JobResult:
         reply = handleResult(conn, frame);
         break;
-      case MsgType::MetricsSnapshot:
-        reply = handleMetrics();
-        break;
       case MsgType::Stats:
         reply = handleStats();
         break;
@@ -866,15 +863,6 @@ Server::handleResult(Conn &conn, const Frame &frame)
                              encodeJobResultReply(reply));
     recordEncodeSpan(it->second, t0, monotonicNowUs());
     return bytes;
-}
-
-std::vector<std::uint8_t>
-Server::handleMetrics()
-{
-    MetricsReply reply;
-    reply.json = metricsJson();
-    return encodeFrame(MsgType::MetricsReply,
-                       encodeMetricsReply(reply));
 }
 
 std::vector<std::uint8_t>
@@ -1372,7 +1360,7 @@ void
 Server::registerMetrics()
 {
     // The registry reads whatever the shadow copy held at the last
-    // metricsJson() refresh; getters stay trivially thread-safe.
+    // statsText() refresh; getters stay trivially thread-safe.
     metricShadow.assign(std::size(kServeMetrics), 0.0);
     for (std::size_t i = 0; i < std::size(kServeMetrics); ++i) {
         const double *cell = &metricShadow[i];
@@ -1430,39 +1418,7 @@ Server::refreshMetricShadow()
         static_cast<double>(ss.recorded),
         static_cast<double>(ss.dropped),
     };
-    // Each snapshot request extends the registry's time series, so a
-    // scraping client builds the same Timeline history a --metrics
-    // bench run would.
-    registry.snapshot(static_cast<Cycle>(uptime_ms));
     return uptime_ms;
-}
-
-std::string
-Server::metricsJson()
-{
-    const std::uint64_t uptime_ms = refreshMetricShadow();
-
-    std::lock_guard<std::mutex> lock(metricsMtx);
-    std::string out = "{\"state\":";
-    out += jsonQuote(state() == ServerStateKind::Serving ? "serving"
-                     : state() == ServerStateKind::Draining
-                         ? "draining"
-                         : "stopped");
-    out += strFormat(",\"uptime_ms\":%llu,\"snapshots\":%zu,"
-                     "\"metrics\":{",
-                     static_cast<unsigned long long>(uptime_ms),
-                     registry.snapshots());
-    bool first = true;
-    for (const Metric &m : registry.metrics()) {
-        if (!first)
-            out += ",";
-        first = false;
-        out += jsonQuote(m.name);
-        out += ":";
-        out += jsonNumber(m.getter());
-    }
-    out += "}}";
-    return out;
 }
 
 std::string

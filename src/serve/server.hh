@@ -212,9 +212,6 @@ class Server
 
     const ServerConfig &config() const { return cfg; }
 
-    /** Flat JSON snapshot of the daemon metrics registry. */
-    std::string metricsJson();
-
     /**
      * Prometheus-style text exposition: every registry metric, the
      * queue-wait / service / e2e latency histograms with p50/p95/p99
@@ -323,7 +320,6 @@ class Server
     /** Empty return = parked as a waiter, reply comes later. */
     std::vector<std::uint8_t> handleResult(Conn &conn,
                                            const Frame &frame);
-    std::vector<std::uint8_t> handleMetrics();
     std::vector<std::uint8_t> handleStats();
     std::vector<std::uint8_t> handleHealth();
     std::vector<std::uint8_t> handleDrain();
@@ -357,9 +353,8 @@ class Server
     void recordEncodeSpan(const Job &job, std::uint64_t t0_us,
                           std::uint64_t t1_us);
     /**
-     * Refresh metricShadow from live counters and extend the
-     * registry's snapshot series; returns the uptime in ms. Shared by
-     * metricsJson and statsText. Takes mtx then metricsMtx.
+     * Refresh metricShadow from live counters; returns the uptime in
+     * ms. Called by statsText. Takes mtx then metricsMtx.
      */
     std::uint64_t refreshMetricShadow();
 
@@ -413,7 +408,7 @@ class Server
 
     mutable std::mutex metricsMtx;
     MetricsRegistry registry;
-    /** Values the registry getters read; refreshed in metricsJson. */
+    /** Values the registry getters read; refreshed in statsText. */
     std::vector<double> metricShadow;
     Clock::time_point startedAt{};
 

@@ -16,6 +16,7 @@
  */
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -229,6 +230,40 @@ TEST(SpanSinkSuite, DropAccountingUnderThreads)
     EXPECT_EQ(st.dropped, kThreads * (kPerThread - kRing));
     EXPECT_EQ(st.recorded, st.dropped + st.retained);
     EXPECT_EQ(sink.sortedSpans().size(), kThreads * kRing);
+}
+
+TEST(SpanSinkSuite, StatsWhileRecordingIsRaceFree)
+{
+    // The daemon's I/O thread calls stats() on every Stats scrape
+    // while worker threads record spans. Under ThreadSanitizer this
+    // fails unless the ring head is published atomically.
+    constexpr std::uint64_t kSpans = 20'000;
+    SpanSinkConfig cfg;
+    cfg.ringSpans = 64;
+    SpanSink sink(cfg);
+
+    // The recorder holds off until the first scrape, so the two
+    // threads overlap even on a loaded host.
+    std::atomic<bool> scraping{false};
+    std::atomic<bool> done{false};
+    std::thread recorder([&sink, &scraping, &done] {
+        while (!scraping.load())
+            std::this_thread::yield();
+        for (std::uint64_t i = 0; i < kSpans; ++i)
+            sink.record(makeSpan(1, i + 1, 0, i, i + 1,
+                                 SpanKind::SrvSimulate));
+        done.store(true);
+    });
+    std::uint64_t last = 0;
+    do {
+        const SpanSinkStats st = sink.stats();
+        EXPECT_GE(st.recorded, last);
+        EXPECT_EQ(st.recorded, st.dropped + st.retained);
+        last = st.recorded;
+        scraping.store(true);
+    } while (!done.load());
+    recorder.join();
+    EXPECT_EQ(sink.stats().recorded, kSpans);
 }
 
 TEST(SpanSinkSuite, PerfettoJsonRoundTrip)

@@ -559,8 +559,8 @@ TEST(Admission, RejectsWhenQueueWaitExceedsDeadline)
         EXPECT_GT(e.retryAfterMs(), 0u);
     }
     EXPECT_EQ(srv.server->stats().admissionRejected, 1u);
-    EXPECT_NE(srv.server->metricsJson().find(
-                  "serve_admission_rejected"),
+    EXPECT_NE(srv.server->statsText().find(
+                  "\nserve_admission_rejected 1\n"),
               std::string::npos);
 
     hold.unlock();

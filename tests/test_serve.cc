@@ -221,11 +221,6 @@ TEST(ServeProtocol, AllSmallRepliesRoundTrip)
     EXPECT_EQ(h2.uptimeMs, 12345u);
     EXPECT_EQ(h2.completedJobs, 35u);
 
-    MetricsReply m{"{\"a\":1}"};
-    MetricsReply m2;
-    ASSERT_TRUE(decodeMetricsReply(encodeMetricsReply(m), m2));
-    EXPECT_EQ(m2.json, "{\"a\":1}");
-
     ErrorReply e{ErrCode::Busy, "queue full"};
     ErrorReply e2;
     ASSERT_TRUE(decodeError(encodeError(e), e2));
@@ -787,16 +782,41 @@ TEST(ServeServer, MetricsAndHealthEndpoints)
     const SubmitRunReply sub = c.submitRun(sampleRequest());
     ASSERT_EQ(c.result(sub.jobId, 10'000).state, JobState::Ok);
 
-    const std::string json = c.metricsJson();
-    EXPECT_NE(json.find("\"serve_jobs_accepted\":1"),
-              std::string::npos)
-        << json;
-    EXPECT_NE(json.find("\"serve_jobs_ok\":1"), std::string::npos);
-    EXPECT_NE(json.find("\"state\":\"serving\""), std::string::npos);
+    const std::string text = c.statsText();
+    EXPECT_NE(text.find("\nserve_jobs_accepted 1\n"), std::string::npos)
+        << text;
+    EXPECT_NE(text.find("\nserve_jobs_ok 1\n"), std::string::npos);
+    EXPECT_NE(text.find(" serving, uptime "), std::string::npos);
 
     const HealthReply h1 = c.health();
     EXPECT_EQ(h1.acceptedJobs, 1u);
     EXPECT_EQ(h1.completedJobs, 1u);
+}
+
+TEST(ServeServer, RetiredMetricsSnapshotTypeIsUnknownType)
+{
+    StubServer srv([](const SubmitRunRequest &) {
+        return stubResult();
+    });
+
+    // Type 7 was MetricsSnapshot. An old client sending it gets the
+    // typed UnknownType error, and the connection keeps serving.
+    const int fd = rawConnect(srv.server->port());
+    const auto retired = encodeFrame(static_cast<MsgType>(7), {});
+    ASSERT_TRUE(sendAll(fd, retired.data(), retired.size()));
+    Frame frame;
+    ASSERT_TRUE(readOneFrame(fd, frame));
+    ASSERT_EQ(frame.type, MsgType::Error);
+    ErrorReply err;
+    ASSERT_TRUE(decodeError(frame.payload, err));
+    EXPECT_EQ(err.code, ErrCode::UnknownType);
+
+    const auto health = encodeFrame(MsgType::Health, {});
+    ASSERT_TRUE(sendAll(fd, health.data(), health.size()));
+    ASSERT_TRUE(readOneFrame(fd, frame));
+    EXPECT_EQ(frame.type, MsgType::HealthReply);
+    ::close(fd);
+    EXPECT_EQ(srv.server->stats().badFrames, 1u);
 }
 
 TEST(ServeServer, ShutdownRequestDrainsAndFlagsExit)
@@ -1137,7 +1157,7 @@ TEST(ServeServer, SlowClientIsDroppedWithoutStallingOthers)
             cfg.connBacklogBytes = 2048;
         });
 
-    // A peer that pipelines metrics requests and never reads: once
+    // A peer that pipelines stats requests and never reads: once
     // the kernel buffers fill, the server-side output queue grows
     // past connBacklogBytes and the peer must be dropped.
     const int slow = ::socket(AF_INET, SOCK_STREAM, 0);
@@ -1152,15 +1172,14 @@ TEST(ServeServer, SlowClientIsDroppedWithoutStallingOthers)
                         sizeof(addr)),
               0);
 
-    const auto metricsReq = encodeFrame(MsgType::MetricsSnapshot, {});
+    const auto statsReq = encodeFrame(MsgType::Stats, {});
     bool alive = true;
     const auto deadline = std::chrono::steady_clock::now() +
                           std::chrono::seconds(30);
     while (alive && srv.server->stats().droppedSlowConns == 0 &&
            std::chrono::steady_clock::now() < deadline) {
         for (int i = 0; i < 100 && alive; ++i)
-            alive = sendAll(slow, metricsReq.data(),
-                            metricsReq.size());
+            alive = sendAll(slow, statsReq.data(), statsReq.size());
     }
 
     // Give the drop a moment to land in the counters.

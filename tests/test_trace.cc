@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -124,6 +125,36 @@ TEST(TraceSink, RingWraparoundCountsDropsNotSilent)
     EXPECT_EQ(parsed.recorded, 100u);
     EXPECT_EQ(parsed.dropped, 84u);
     EXPECT_EQ(parsed.events.size(), 16u);
+}
+
+TEST(TraceSink, StatsWhileRecordingIsRaceFree)
+{
+    // stats() may run beside a producer; under ThreadSanitizer this
+    // fails unless the ring head is published atomically.
+    constexpr std::uint64_t kEvents = 20'000;
+    TraceSinkConfig cfg;
+    cfg.ringEvents = 64;
+    TraceSink sink(cfg);
+
+    std::atomic<bool> scraping{false};
+    std::atomic<bool> done{false};
+    std::thread recorder([&sink, &scraping, &done] {
+        while (!scraping.load())
+            std::this_thread::yield();
+        for (std::uint64_t i = 0; i < kEvents; ++i)
+            sink.record(i, TraceKind::IsaAlloc, i);
+        done.store(true);
+    });
+    std::uint64_t last = 0;
+    do {
+        const TraceSinkStats st = sink.stats();
+        EXPECT_GE(st.recorded, last);
+        EXPECT_EQ(st.recorded, st.dropped + st.retained);
+        last = st.recorded;
+        scraping.store(true);
+    } while (!done.load());
+    recorder.join();
+    EXPECT_EQ(sink.stats().recorded, kEvents);
 }
 
 TEST(TraceSink, CrossThreadEventsMergeInTimestampOrder)
