@@ -8,6 +8,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cmath>
 #include <memory>
 #include <optional>
 #include <unordered_map>
@@ -269,6 +270,52 @@ BM_StreamGen(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_StreamGen);
+
+/**
+ * BM_StreamGen through AddressStream::fill, the way System::runPhase
+ * reads a core's stream; the argument is the batch size. Items are
+ * references.
+ */
+static void
+BM_StreamFill(benchmark::State &state)
+{
+    const auto suite = tableTwoSuite(64);
+    SyntheticStream s(findProfile(suite, "lbm"), 16_MiB, 3);
+    AddressStream &stream = s;
+    std::vector<MemOp> batch(static_cast<std::size_t>(state.range(0)));
+    for (auto _ : state) {
+        stream.fill(batch);
+        benchmark::DoNotOptimize(batch.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_StreamFill)->Arg(256)->Arg(4096);
+
+/**
+ * One geometric draw at lbm's gap mean: argument 0 is GeometricDist
+ * (fast log with the exact fallback), 1 the literal
+ * floor(log1p(-u) / logQ) + 1 it reproduces bit for bit.
+ */
+static void
+BM_GeometricDist(benchmark::State &state)
+{
+    const double mean =
+        1000.0 / findProfile(tableTwoSuite(), "lbm").llcMpki;
+    const GeometricDist dist(mean);
+    const double logQ = std::log1p(-(1.0 / mean));
+    const bool literal = state.range(0) == 1;
+    Rng rng(9);
+    for (auto _ : state) {
+        const double u = rng.uniform();
+        benchmark::DoNotOptimize(
+            literal ? static_cast<std::uint64_t>(
+                          std::floor(std::log1p(-u) / logQ)) + 1
+                    : dist.fromUniform(u));
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_GeometricDist)->ArgName("literal")->Arg(0)->Arg(1);
 
 /** MiniOs::translate on a fully mapped process: a page-table hit. */
 static void

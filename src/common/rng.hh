@@ -14,6 +14,8 @@
 #include <cmath>
 #include <cstdint>
 
+#include "common/fast_log.hh"
+
 namespace chameleon
 {
 
@@ -119,16 +121,26 @@ class Rng
 };
 
 /**
- * Geometric distribution with a fixed mean: the per-draw constant
- * log1p(-1/mean) is computed once. A mean <= 1 always yields 1 and
- * draws nothing from the generator.
+ * Geometric distribution with a fixed mean: the per-draw constants
+ * log1p(-1/mean) and its reciprocal are computed once. A mean <= 1
+ * always yields 1 and draws nothing from the generator.
+ *
+ * A draw is floor(log1p(-u) / logQ) + 1 bit for bit. Since 1 - u is
+ * exact for u on the 2^-53 grid, the fast path computes the quotient
+ * y = fastLog(1 - u) / logQ instead; it is within 1e-13 relative of
+ * the literal one, so when it lies more than exactBand * max(1, y)
+ * (about 1e-9 relative) from an integer both land on the same side of
+ * it and share their floor. Inside that band (about 2^-29 * mean of
+ * the draws, 1e-5 at most at the Table II means) the literal formula
+ * decides.
  */
 class GeometricDist
 {
   public:
     explicit GeometricDist(double mean)
         : degenerate(mean <= 1.0),
-          logQ(degenerate ? 0.0 : std::log1p(-(1.0 / mean)))
+          logQ(degenerate ? 0.0 : std::log1p(-(1.0 / mean))),
+          invLogQ(1.0 / logQ)
     {
     }
 
@@ -137,17 +149,37 @@ class GeometricDist
     {
         if (degenerate)
             return 1;
-        double u = rng.uniform();
+        return fromUniform(rng.uniform());
+    }
+
+    /** The draw for uniform variate @p u in [0, 1) (non-degenerate
+     *  means only). */
+    std::uint64_t
+    fromUniform(double u) const
+    {
         // Guard against log(0).
         if (u >= 1.0)
             u = 0.999999999999;
+        const double y = fastLog(1.0 - u) * invLogQ;
+        if (y < 0x1p52) { // y >= 0; false for NaN
+            const auto n = static_cast<std::int64_t>(y);
+            const double frac = y - static_cast<double>(n);
+            const double band = exactBand * (y > 1.0 ? y : 1.0);
+            if (frac > band && frac < 1.0 - band)
+                return static_cast<std::uint64_t>(n) + 1;
+        }
         return static_cast<std::uint64_t>(
                    std::floor(std::log1p(-u) / logQ)) + 1;
     }
 
   private:
+    /** Half-width of the band around each integer, relative to
+     *  max(1, y), in which the literal formula decides. */
+    static constexpr double exactBand = 0x1p-30;
+
     bool degenerate;
     double logQ;
+    double invLogQ;
 };
 
 /**

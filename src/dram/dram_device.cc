@@ -175,25 +175,27 @@ Cycle
 DramDevice::bulkTransfer(Addr addr, std::uint64_t bytes, AccessType type,
                          Cycle when)
 {
+    const std::uint64_t blocks = (bytes + 63) / 64;
+    if (blocks == 0)
+        return when;
+    // Blocks 0, stride, 2 * stride, ... contend with demand traffic.
     Cycle done = when;
-    std::uint32_t k = 0;
-    for (std::uint64_t off = 0; off < bytes; off += 64, ++k) {
-        Addr a = addr + off;
+    for (std::uint64_t k = 0; k < blocks; k += demandImpactStride) {
+        Addr a = addr + k * 64;
         if (a >= cfg.capacity)
             a %= cfg.capacity;
-        if (k % demandImpactStride == 0) {
-            done = access(a, type, when);
-        } else {
-            // Idle-slot steal: bandwidth accounted, no contention.
-            statsData.bytesTransferred += 64;
-            if (type == AccessType::Read)
-                ++statsData.reads;
-            else
-                ++statsData.writes;
-            done += tBurstCpu;
-        }
+        done = access(a, type, when);
     }
-    return done;
+    // The rest steal idle slots: bandwidth accounted, no contention,
+    // and each one after the last contending block adds a burst.
+    const std::uint64_t idle =
+        blocks - (blocks + demandImpactStride - 1) / demandImpactStride;
+    statsData.bytesTransferred += 64 * idle;
+    if (type == AccessType::Read)
+        statsData.reads += idle;
+    else
+        statsData.writes += idle;
+    return done + (blocks - 1) % demandImpactStride * tBurstCpu;
 }
 
 Cycle

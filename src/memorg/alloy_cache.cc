@@ -18,6 +18,11 @@ AlloyCache::AlloyCache(DramDevice *stacked_dev, DramDevice *offchip_dev,
     lines.resize(usable / cfg.lineBytes);
     if (lines.empty())
         fatal("AlloyCache: stacked capacity too small");
+    if (cfg.predictorEntries != 0 && !isPowerOf2(cfg.predictorEntries))
+        fatal("AlloyCache: predictorEntries %u must be 0 or a power of "
+              "two",
+              cfg.predictorEntries);
+    predictorMask = cfg.predictorEntries ? cfg.predictorEntries - 1 : 0;
     // Start weakly predicting hit (2 on the 0..3 scale).
     predictor.assign(cfg.predictorEntries ? cfg.predictorEntries : 1,
                      2);
@@ -28,9 +33,7 @@ AlloyCache::predictHit(Addr phys) const
 {
     if (cfg.predictorEntries == 0)
         return true; // always-serial fallback
-    const std::size_t idx =
-        ((phys >> 12)) % cfg.predictorEntries;
-    return predictor[idx] >= 2;
+    return predictor[(phys >> 12) & predictorMask] >= 2;
 }
 
 void
@@ -38,9 +41,7 @@ AlloyCache::trainPredictor(Addr phys, bool hit)
 {
     if (cfg.predictorEntries == 0)
         return;
-    const std::size_t idx =
-        ((phys >> 12)) % cfg.predictorEntries;
-    std::uint8_t &ctr = predictor[idx];
+    std::uint8_t &ctr = predictor[(phys >> 12) & predictorMask];
     if (hit && ctr < 3)
         ++ctr;
     else if (!hit && ctr > 0)
@@ -60,27 +61,14 @@ AlloyCache::name() const
     return "alloy-cache";
 }
 
-std::uint64_t
-AlloyCache::lineIndex(Addr phys) const
-{
-    return (phys / cfg.lineBytes) % lines.size();
-}
-
-Addr
-AlloyCache::tagOf(Addr phys) const
-{
-    return (phys / cfg.lineBytes) / lines.size();
-}
-
 Addr
 AlloyCache::resolveLocation(Addr phys) const
 {
-    const std::uint64_t idx = lineIndex(phys);
-    const Line &line = lines[idx];
-    if (line.valid && line.tag == tagOf(phys))
-        return stackedLoc(idx * cfg.lineBytes);
-    return offchipLoc(phys / cfg.lineBytes * cfg.lineBytes +
-                      (phys % cfg.lineBytes));
+    const Slot slot = slotOf(phys);
+    const Line &line = lines[slot.index];
+    if (line.valid && line.tag == slot.tag)
+        return stackedLoc(slot.index << lineShift);
+    return offchipLoc(phys);
 }
 
 MemAccessResult
@@ -90,17 +78,17 @@ AlloyCache::access(Addr phys, AccessType type, Cycle when)
         panic("alloy-cache: access %#llx beyond OS-visible space",
               static_cast<unsigned long long>(phys));
 
-    const std::uint64_t idx = lineIndex(phys);
-    const Addr line_home = phys / cfg.lineBytes * cfg.lineBytes;
-    const Addr slot_addr = idx * cfg.lineBytes;
-    Line &line = lines[idx];
+    const Slot slot = slotOf(phys);
+    const Addr line_home = phys & ~(cfg.lineBytes - 1);
+    const Addr slot_addr = slot.index << lineShift;
+    Line &line = lines[slot.index];
 
     MemAccessResult result;
     const bool predicted_hit = predictHit(phys);
     // The TAD probe streams tag+data in one stacked access.
     const Cycle probe_done = stackedAccess(slot_addr, type, when);
 
-    if (line.valid && line.tag == tagOf(phys)) {
+    if (line.valid && line.tag == slot.tag) {
         if (!predicted_hit) {
             // MAP mispredicted miss: the speculative off-chip read
             // was issued in parallel and its bandwidth is wasted.
@@ -125,8 +113,7 @@ AlloyCache::access(Addr phys, AccessType type, Cycle when)
 
     // Victim writeback (posted).
     if (line.valid && line.dirty) {
-        const Addr victim_home =
-            (line.tag * lines.size() + idx) * cfg.lineBytes;
+        const Addr victim_home = lineHomeAddr(slot.index);
         offchipAccess(victim_home, AccessType::Write, result.done);
         funcCopy(stackedLoc(slot_addr), offchipLoc(victim_home),
                  cfg.lineBytes);
@@ -138,7 +125,7 @@ AlloyCache::access(Addr phys, AccessType type, Cycle when)
     funcCopy(offchipLoc(line_home), stackedLoc(slot_addr),
              cfg.lineBytes);
     line.valid = true;
-    line.tag = tagOf(phys);
+    line.tag = slot.tag;
     line.dirty = (type == AccessType::Write);
     ++statsData.fills;
 

@@ -38,7 +38,8 @@ struct AlloyConfig
     /**
      * Memory Access Predictor (MAP) entries; on a predicted miss the
      * off-chip access is issued in parallel with the TAD probe
-     * (Alloy's latency optimization). 0 disables the predictor.
+     * (Alloy's latency optimization). 0 disables the predictor;
+     * otherwise it must be a power of two (the index is a mask).
      */
     std::uint32_t predictorEntries = 4096;
 };
@@ -75,13 +76,13 @@ class AlloyCache : public MemOrganization
     }
 
     /** Line (set) index covering OS-visible @p phys. */
-    std::uint64_t lineIndexOf(Addr phys) const { return lineIndex(phys); }
+    std::uint64_t lineIndexOf(Addr phys) const { return slotOf(phys).index; }
 
     /** OS-visible home address of valid line @p index. */
     Addr
     lineHomeAddr(std::uint64_t index) const
     {
-        return (lines[index].tag * lines.size() + index) * cfg.lineBytes;
+        return (lines[index].tag * lines.size() + index) << lineShift;
     }
 
   protected:
@@ -95,8 +96,24 @@ class AlloyCache : public MemOrganization
         bool dirty = false;
     };
 
-    std::uint64_t lineIndex(Addr phys) const;
-    Addr tagOf(Addr phys) const;
+    /** Line index and tag of one OS-visible address. */
+    struct Slot
+    {
+        std::uint64_t index;
+        Addr tag;
+    };
+
+    /** log2 of the line size (only 64B lines are supported). */
+    static constexpr unsigned lineShift = 6;
+
+    /** @p phys's slot, from a single division by the line count. */
+    Slot
+    slotOf(Addr phys) const
+    {
+        const Addr block = phys >> lineShift;
+        const Addr tag = block / lines.size();
+        return Slot{block - tag * lines.size(), tag};
+    }
 
     /** MAP lookup: true when the access is predicted to hit. */
     bool predictHit(Addr phys) const;
@@ -106,6 +123,8 @@ class AlloyCache : public MemOrganization
     std::vector<Line> lines;
     /** 2-bit saturating hit predictors, page-indexed. */
     std::vector<std::uint8_t> predictor;
+    /** predictorEntries - 1 (unused when the predictor is off). */
+    Addr predictorMask = 0;
 };
 
 } // namespace chameleon

@@ -176,6 +176,9 @@ MiniOs::evictOnePage(Cycle when)
             std::erase(proc.hugeFrames, huge_base);
         }
         const Addr pfn = pte.pfn;
+        // removeFromClock() may compact residentList under entry.
+        const ProcId pid = entry.pid;
+        const std::uint64_t vpn = entry.vpn;
         pte.resident = false;
         pte.onDisk = true;
         pte.pfn = invalidAddr;
@@ -183,8 +186,7 @@ MiniOs::evictOnePage(Cycle when)
         frames.freePage(pfn);
         emitFrees(pfn, pageBytes, when);
         ++statsData.swapOuts;
-        TraceSink::emit(trace, when, TraceKind::SwapOut, entry.pid,
-                        entry.vpn, pfn);
+        TraceSink::emit(trace, when, TraceKind::SwapOut, pid, vpn, pfn);
         return true;
     }
     return false;

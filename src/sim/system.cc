@@ -322,6 +322,13 @@ System::loadRateWorkload(const AppProfile &profile)
 }
 
 void
+System::resetBatches()
+{
+    batches.assign(std::size_t{cfg.numCores} * streamBatch, MemOp{});
+    batchPos.assign(cfg.numCores, streamBatch);
+}
+
+void
 System::loadTraceWorkload(const std::vector<std::string> &paths)
 {
     if (paths.empty())
@@ -338,6 +345,7 @@ System::loadTraceWorkload(const std::vector<std::string> &paths)
         procs.push_back(pid);
         streams.push_back(std::move(stream));
     }
+    resetBatches();
     std::uint64_t total = 0;
     for (const auto &s : streams)
         total += s->footprint();
@@ -364,6 +372,7 @@ System::loadPerCoreWorkloads(const std::vector<AppProfile> &profiles)
         streams.push_back(std::make_unique<SyntheticStream>(
             p, p.footprintBytes, cfg.seed * 1000003 + c));
     }
+    resetBatches();
     std::uint64_t total = 0;
     for (const AppProfile &p : profiles)
         total += p.footprintBytes;
@@ -412,7 +421,13 @@ System::runPhase(std::uint64_t retire_target)
 
         CoreModel &core = cores[c];
         maybeSnapshot(core.now());
-        const MemOp op = streams[c]->next();
+        MemOp *batch = &batches[std::size_t{c} * streamBatch];
+        std::uint32_t &slot = batchPos[c];
+        if (slot == streamBatch) [[unlikely]] {
+            streams[c]->fill({batch, streamBatch});
+            slot = 0;
+        }
+        const MemOp op = batch[slot++];
         if (op.gap > 1)
             core.retireCompute(op.gap - 1);
 

@@ -328,6 +328,9 @@ class System
      */
     void drainRetirements(Cycle when);
 
+    /** Empty every core's batch; called when streams are (re)loaded. */
+    void resetBatches();
+
     SystemConfig cfg;
     std::unique_ptr<DramDevice> stackedDev;
     std::unique_ptr<DramDevice> offchipDev;
@@ -352,6 +355,18 @@ class System
     std::vector<CoreModel> cores;
     std::vector<std::unique_ptr<AddressStream>> streams;
     std::vector<ProcId> procs;
+
+    /**
+     * References a core's stream produces per fill(). The batch
+     * persists across phases, so the cores see the same references as
+     * with one next() call each; a run's last batch is partly unused.
+     * Chosen by measurement (BENCH_kernel.json, phase 2).
+     */
+    static constexpr std::uint32_t streamBatch = 256;
+    /** Core c's batch is [c * streamBatch, (c + 1) * streamBatch). */
+    std::vector<MemOp> batches;
+    /** Next unread slot of each core's batch (streamBatch = empty). */
+    std::vector<std::uint32_t> batchPos;
 
     /** Memory references between full oracle sweeps. */
     static constexpr std::uint64_t oracleSweepInterval = 1ull << 18;

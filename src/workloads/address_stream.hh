@@ -9,6 +9,7 @@
 #define CHAMELEON_WORKLOADS_ADDRESS_STREAM_HH
 
 #include <cstdint>
+#include <span>
 
 #include "common/types.hh"
 
@@ -29,14 +30,18 @@ struct MemOp
     std::uint32_t gap = 1;
 };
 
-/** Producer of one core's post-LLC reference stream. */
+/**
+ * Producer of one core's post-LLC reference stream. The simulator
+ * takes references a batch at a time, so the virtual call is paid
+ * once per batch rather than once per reference.
+ */
 class AddressStream
 {
   public:
     virtual ~AddressStream() = default;
 
-    /** Produce the next reference. */
-    virtual MemOp next() = 0;
+    /** Overwrite @p out with the next out.size() references. */
+    virtual void fill(std::span<MemOp> out) = 0;
 
     /** VA-space size this stream covers, in bytes. */
     virtual std::uint64_t footprint() const = 0;

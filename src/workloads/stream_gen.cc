@@ -83,8 +83,8 @@ SyntheticStream::startNewRun()
     runRemaining = std::max<std::uint64_t>(runDist(rng), 1);
 }
 
-MemOp
-SyntheticStream::next()
+inline MemOp
+SyntheticStream::step()
 {
     if (runRemaining == 0)
         startNewRun();
@@ -104,6 +104,19 @@ SyntheticStream::next()
     if (instrRetired >= nextPhaseAt)
         rotatePhase();
     return op;
+}
+
+MemOp
+SyntheticStream::next()
+{
+    return step();
+}
+
+void
+SyntheticStream::fill(std::span<MemOp> out)
+{
+    for (MemOp &op : out)
+        op = step();
 }
 
 } // namespace chameleon

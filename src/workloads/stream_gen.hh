@@ -41,7 +41,10 @@ class SyntheticStream : public AddressStream
                     std::uint64_t footprint_bytes, std::uint64_t seed);
 
     /** Produce the next reference. */
-    MemOp next() override;
+    MemOp next();
+
+    /** The next out.size() references, as many next() calls would. */
+    void fill(std::span<MemOp> out) override;
 
     /** VA-space size this stream covers. */
     std::uint64_t footprint() const override { return blocks * 64; }
@@ -56,6 +59,8 @@ class SyntheticStream : public AddressStream
     std::uint64_t phase() const { return phaseIdx; }
 
   private:
+    /** The generator behind both next() and fill(). */
+    MemOp step();
     void rotatePhase();
     void startNewRun();
 

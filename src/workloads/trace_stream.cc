@@ -77,8 +77,8 @@ TraceStream::computeFootprint()
     footprintBytes = (max_addr / pageBytes + 1) * pageBytes;
 }
 
-MemOp
-TraceStream::next()
+inline MemOp
+TraceStream::step()
 {
     const MemOp op = ops[pos];
     if (++pos == ops.size()) {
@@ -86,6 +86,19 @@ TraceStream::next()
         ++wraps;
     }
     return op;
+}
+
+MemOp
+TraceStream::next()
+{
+    return step();
+}
+
+void
+TraceStream::fill(std::span<MemOp> out)
+{
+    for (MemOp &op : out)
+        op = step();
 }
 
 } // namespace chameleon

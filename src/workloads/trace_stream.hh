@@ -34,7 +34,11 @@ class TraceStream : public AddressStream
     /** Build directly from memory (tests, generators). */
     explicit TraceStream(std::vector<MemOp> ops);
 
-    MemOp next() override;
+    /** The next record, wrapping to the first after the last. */
+    MemOp next();
+
+    /** The next out.size() records, as many next() calls would. */
+    void fill(std::span<MemOp> out) override;
     std::uint64_t footprint() const override { return footprintBytes; }
 
     /** Number of records in the trace (before looping). */
@@ -44,6 +48,8 @@ class TraceStream : public AddressStream
     std::uint64_t loops() const { return wraps; }
 
   private:
+    /** The replay step behind both next() and fill(). */
+    MemOp step();
     void computeFootprint();
 
     std::vector<MemOp> ops;

@@ -6,15 +6,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <utility>
+#include <vector>
 
 #include "common/log.hh"
 #include "common/rng.hh"
 #include "common/stats.hh"
 #include "common/timeline.hh"
 #include "common/types.hh"
+#include "workloads/profile.hh"
 
 using namespace chameleon;
 
@@ -187,6 +190,47 @@ TEST(Rng, GeometricDistMatchesLiteralFormula)
         EXPECT_EQ(a.next(), b.next()) << "mean " << mean;
         Rng c(31), d(31);
         EXPECT_EQ(c.geometric(mean), literalGeometric(d, mean));
+    }
+}
+
+TEST(Rng, GeometricDistFastPathExactAtBoundaries)
+{
+    // Every gap and run mean the Table II generators use, plus a
+    // near-degenerate, a small and a very large one, with the step
+    // between checked boundaries: mean 1e5 has 3.6 M of them (20 s),
+    // so every 29th one is checked, spread over the whole range.
+    std::vector<std::pair<double, std::uint64_t>> means = {
+        {1.5, 1}, {8.0, 1}, {1e5, 29}};
+    for (const AppProfile &p : tableTwoSuite()) {
+        means.emplace_back(std::max(1.0, 1000.0 / p.llcMpki), 1);
+        means.emplace_back(p.seqRunBlocks, 1);
+    }
+    constexpr std::int64_t lastGridPoint = (1ll << 53) - 1;
+    for (const auto &[mean, step] : means) {
+        if (mean <= 1.0)
+            continue;
+        const GeometricDist dist(mean);
+        const double logQ = std::log1p(-(1.0 / mean));
+        std::uint64_t mismatches = 0;
+        // The draw steps from k to k + 1 where log1p(-u) / logQ
+        // crosses k, at u_k = 1 - q^k; check the 2^-53 grid around
+        // every such threshold up to u = 1 - e^-36, next to the
+        // grid's last point 1 - 2^-53.
+        for (std::uint64_t k = 1;
+             static_cast<double>(k) * -logQ <= 36.0; k += step) {
+            const long double uk =
+                -std::expm1l(static_cast<long double>(k) * logQ);
+            const auto j0 = static_cast<std::int64_t>(uk * 0x1p53L);
+            const std::int64_t lo = std::max<std::int64_t>(j0 - 64, 0);
+            const std::int64_t hi = std::min(j0 + 64, lastGridPoint);
+            for (std::int64_t j = lo; j <= hi; ++j) {
+                const double u = static_cast<double>(j) * 0x1p-53;
+                const auto literal = static_cast<std::uint64_t>(
+                    std::floor(std::log1p(-u) / logQ)) + 1;
+                mismatches += dist.fromUniform(u) != literal;
+            }
+        }
+        EXPECT_EQ(mismatches, 0u) << "mean " << mean;
     }
 }
 

@@ -228,6 +228,99 @@ TEST(DramDevice, BulkTransferAccountsAllBytes)
     EXPECT_EQ(dev.stats().reads, 32u);
 }
 
+namespace
+{
+
+/** What the per-block loop returned, and how many blocks it stole
+ *  idle slots for. */
+struct PerBlockOutcome
+{
+    Cycle done;
+    std::uint64_t idleBlocks;
+};
+
+/**
+ * bulkTransfer as the per-block loop it was before the idle blocks
+ * were accounted in closed form: every demandImpactStride-th block
+ * goes through access(); every other one adds 64 bytes, one read or
+ * write (left to the caller here) and one burst to the completion.
+ */
+PerBlockOutcome
+perBlockBulkTransfer(DramDevice &dev, Addr addr, std::uint64_t bytes,
+                     AccessType type, Cycle when)
+{
+    const Cycle burst = dev.memToCpu(dev.timings().burstCycles());
+    PerBlockOutcome out{when, 0};
+    std::uint32_t k = 0;
+    for (std::uint64_t off = 0; off < bytes; off += 64, ++k) {
+        Addr a = addr + off;
+        if (a >= dev.capacity())
+            a %= dev.capacity();
+        if (k % DramDevice::demandImpactStride == 0) {
+            out.done = dev.access(a, type, when);
+        } else {
+            ++out.idleBlocks;
+            out.done += burst;
+        }
+    }
+    return out;
+}
+
+} // namespace
+
+TEST(DramDevice, BulkTransferClosedFormMatchesPerBlockLoop)
+{
+    struct Case
+    {
+        const char *what;
+        Addr addr;
+        std::uint64_t bytes;
+        AccessType type;
+    };
+    const Case cases[] = {
+        {"2 KiB segment", 4096, 2048, AccessType::Read},
+        {"2 KiB segment write", 8192, 2048, AccessType::Write},
+        {"13 blocks", 1_MiB, 13 * 64, AccessType::Read},
+        {"partial last block", 2_MiB, 21 * 64 + 5, AccessType::Write},
+        {"one byte", 3_MiB, 1, AccessType::Read},
+        {"zero bytes", 0, 0, AccessType::Read},
+        {"wraps at capacity", 16_MiB - 5 * 64, 4096, AccessType::Read},
+    };
+    // Both devices see the same sequence, so each case starts from
+    // the state the previous ones left behind.
+    DramDevice fast(tinyConfig());
+    DramDevice slow(tinyConfig());
+    std::uint64_t idleReads = 0, idleWrites = 0;
+    Cycle when = 1000;
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.what);
+        const Cycle got = fast.bulkTransfer(c.addr, c.bytes, c.type, when);
+        const PerBlockOutcome ref =
+            perBlockBulkTransfer(slow, c.addr, c.bytes, c.type, when);
+        (c.type == AccessType::Read ? idleReads : idleWrites) +=
+            ref.idleBlocks;
+        EXPECT_EQ(got, ref.done);
+
+        DramStats want = slow.stats();
+        want.reads += idleReads;
+        want.writes += idleWrites;
+        want.bytesTransferred += 64 * (idleReads + idleWrites);
+        const DramStats &have = fast.stats();
+        EXPECT_EQ(have.reads, want.reads);
+        EXPECT_EQ(have.writes, want.writes);
+        EXPECT_EQ(have.rowHits, want.rowHits);
+        EXPECT_EQ(have.rowMisses, want.rowMisses);
+        EXPECT_EQ(have.rowConflicts, want.rowConflicts);
+        EXPECT_EQ(have.refreshStalls, want.refreshStalls);
+        EXPECT_EQ(have.eccCorrected, want.eccCorrected);
+        EXPECT_EQ(have.eccUncorrectable, want.eccUncorrectable);
+        EXPECT_EQ(have.spikeDelays, want.spikeDelays);
+        EXPECT_EQ(have.readLatencySum, want.readLatencySum);
+        EXPECT_EQ(have.bytesTransferred, want.bytesTransferred);
+        when += 700;
+    }
+}
+
 TEST(DramDevice, BulkTransferCompletesAfterStart)
 {
     DramDevice dev(tinyConfig());

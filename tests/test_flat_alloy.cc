@@ -168,6 +168,18 @@ TEST(AlloyCache, PredictorLearnsMissRegion)
     EXPECT_LT(miss_lat, raw * 3);
 }
 
+TEST(AlloyCache, NonPowerOfTwoPredictorIsFatal)
+{
+    Devices d;
+    AlloyConfig cfg;
+    cfg.predictorEntries = 3000;
+    EXPECT_DEATH(AlloyCache(d.stacked.get(), d.offchip.get(), cfg),
+                 "predictorEntries 3000 must be 0 or a power of two");
+    cfg.predictorEntries = 0;
+    AlloyCache serial(d.stacked.get(), d.offchip.get(), cfg);
+    EXPECT_TRUE(serial.access(0, AccessType::Read, 0).done > 0);
+}
+
 TEST(AlloyCache, FunctionalIntegrityUnderTraffic)
 {
     Devices d;

@@ -7,8 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <initializer_list>
 #include <unordered_map>
 #include <unordered_set>
+#include <vector>
 
 #include <cstdio>
 
@@ -272,6 +274,70 @@ TEST(Workloads, SyntheticStreamBitIdentical)
         EXPECT_EQ(h, edges[i].hash)
             << edges[i].name << std::hex << " got 0x" << h;
     }
+}
+
+namespace
+{
+
+/** Whether @p a and @p b are the same reference. */
+bool
+sameOp(const MemOp &a, const MemOp &b)
+{
+    return a.vaddr == b.vaddr && a.type == b.type && a.gap == b.gap;
+}
+
+/**
+ * Compare @p batched, read through AddressStream::fill in chunks of
+ * the given sizes, with @p single, read one next() at a time.
+ */
+template <typename Stream>
+void
+expectFillMatchesNext(Stream &batched, Stream &single,
+                      std::initializer_list<std::size_t> chunks)
+{
+    AddressStream &stream = batched;
+    std::vector<MemOp> buf;
+    std::size_t index = 0;
+    for (std::size_t n : chunks) {
+        buf.assign(n, MemOp{});
+        stream.fill(buf);
+        for (const MemOp &op : buf) {
+            ASSERT_TRUE(sameOp(op, single.next())) << "reference " << index;
+            ++index;
+        }
+    }
+    EXPECT_TRUE(sameOp(batched.next(), single.next()));
+}
+
+} // namespace
+
+TEST(Workloads, FillMatchesNext)
+{
+    // Batches of odd sizes, one of them empty, so batch boundaries
+    // fall everywhere relative to runs, phases and the trace's end.
+    const auto suite = tableTwoSuite(256);
+    for (const char *name : {"mcf", "stream", "cloverleaf"}) {
+        const AppProfile &p = findProfile(suite, name);
+        SyntheticStream a(p, p.copyFootprint(), 5);
+        SyntheticStream b(p, p.copyFootprint(), 5);
+        expectFillMatchesNext(a, b, {1, 7, 0, 256, 1000, 4096, 33});
+        EXPECT_EQ(a.instructionsRetired(), b.instructionsRetired())
+            << name;
+        EXPECT_EQ(a.refsEmitted(), b.refsEmitted()) << name;
+        EXPECT_EQ(a.phase(), b.phase()) << name;
+    }
+
+    std::vector<MemOp> ops(5);
+    for (std::size_t i = 0; i < ops.size(); ++i) {
+        ops[i].vaddr = 4096 * (i + 1);
+        ops[i].type = i % 2 ? AccessType::Write : AccessType::Read;
+        ops[i].gap = static_cast<std::uint32_t>(3 * i + 1);
+    }
+    TraceStream a(ops);
+    TraceStream b(ops);
+    expectFillMatchesNext(a, b, {3, 7, 0, 2, 5, 11});
+    EXPECT_EQ(a.loops(), b.loops());
+    EXPECT_EQ(a.loops(), 5u);
 }
 
 /** Parameterized fidelity sweep over the full Table II suite. */
