@@ -376,4 +376,42 @@ BM_SystemRunPerRef(benchmark::State &state)
 }
 BENCHMARK(BM_SystemRunPerRef)->Unit(benchmark::kMillisecond);
 
+/**
+ * One cell's boot: System construction plus loadRateWorkload (12 mcf
+ * processes pre-mapped, one ISA-Alloc per segment) at scale 256, the
+ * cost every sim cell and every cold chameleond job pays before its
+ * first reference. Destruction is not timed.
+ */
+static void
+BM_SystemSetup(benchmark::State &state, Design design)
+{
+    BenchOptions opts;
+    opts.scale = 256;
+    const auto suite = tableTwoSuite(opts.scale);
+    const AppProfile &app = findProfile(suite, "mcf");
+    const SystemConfig cfg = makeSystemConfig(design, opts);
+    std::optional<System> sys;
+    for (auto _ : state) {
+        sys.emplace(cfg);
+        sys->loadRateWorkload(app);
+        state.PauseTiming();
+        sys.reset();
+        state.ResumeTiming();
+    }
+}
+BENCHMARK_CAPTURE(BM_SystemSetup, flat_ddr, Design::FlatDdr)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_SystemSetup, numa_flat, Design::NumaFlat)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_SystemSetup, alloy_cache, Design::Alloy)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_SystemSetup, pom, Design::Pom)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_SystemSetup, chameleon, Design::Chameleon)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_SystemSetup, chameleon_opt, Design::ChameleonOpt)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_SystemSetup, polymorphic, Design::Polymorphic)
+    ->Unit(benchmark::kMillisecond);
+
 BENCHMARK_MAIN();

@@ -49,7 +49,7 @@ void
 ChameleonMemory::clearSegment(std::uint64_t group,
                               std::uint32_t phys_slot)
 {
-    funcClear(slotLocation(group, phys_slot), cfg.segmentBytes);
+    clearSlotData(group, phys_slot);
     ++chamData.segmentClears;
 }
 
@@ -80,7 +80,7 @@ ChameleonMemory::dropCached(std::uint64_t group, Cycle when,
         else
             ++statsData.isaMoves;
     }
-    funcClear(slotLocation(group, 0), cfg.segmentBytes);
+    clearSlotData(group, 0);
     a.cachedSlot = noCachedSlot;
     a.dirty = false;
 }
@@ -280,7 +280,7 @@ ChameleonMemory::isaFree(Addr seg_base, Cycle when)
         // Fig 10 flow 1-2-4-5: off-chip free, no mode change. Drop a
         // now-dead cached copy and clear the segment (§V-D2).
         if (a.hasCached() && a.cachedSlot == logical) {
-            funcClear(slotLocation(group, 0), cfg.segmentBytes);
+            clearSlotData(group, 0);
             a.cachedSlot = noCachedSlot;
             a.dirty = false;
         }
@@ -291,7 +291,7 @@ ChameleonMemory::isaFree(Addr seg_base, Cycle when)
     if (groupRetired(group)) {
         // The OS is blacklisting the retired frame: the group stays
         // pinned in PoM mode and the dead slot's contents are gone.
-        funcClear(slotLocation(group, 0), cfg.segmentBytes);
+        clearSlotData(group, 0);
         return;
     }
 

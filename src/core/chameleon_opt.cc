@@ -174,7 +174,7 @@ ChameleonOptMemory::isaFree(Addr seg_base, Cycle when)
     // Already in cache mode: drop a now-dead cached copy and clear
     // the freed segment's storage.
     if (a.hasCached() && a.cachedSlot == logical) {
-        funcClear(slotLocation(group, 0), cfg.segmentBytes);
+        clearSlotData(group, 0);
         a.cachedSlot = noCachedSlot;
         a.dirty = false;
     }

@@ -65,8 +65,7 @@ Addr
 AlloyCache::resolveLocation(Addr phys) const
 {
     const Slot slot = slotOf(phys);
-    const Line &line = lines[slot.index];
-    if (line.valid && line.tag == slot.tag)
+    if (lines[slot.index].holds(slot.tag))
         return stackedLoc(slot.index << lineShift);
     return offchipLoc(phys);
 }
@@ -88,7 +87,7 @@ AlloyCache::access(Addr phys, AccessType type, Cycle when)
     // The TAD probe streams tag+data in one stacked access.
     const Cycle probe_done = stackedAccess(slot_addr, type, when);
 
-    if (line.valid && line.tag == slot.tag) {
+    if (line.holds(slot.tag)) {
         if (!predicted_hit) {
             // MAP mispredicted miss: the speculative off-chip read
             // was issued in parallel and its bandwidth is wasted.
@@ -98,7 +97,7 @@ AlloyCache::access(Addr phys, AccessType type, Cycle when)
         result.stackedHit = true;
         result.done = probe_done;
         if (type == AccessType::Write)
-            line.dirty = true;
+            line.word |= Line::dirtyBit;
         recordDemand(type, when, result.done, true);
         return result;
     }
@@ -112,7 +111,7 @@ AlloyCache::access(Addr phys, AccessType type, Cycle when)
         offchipAccess(line_home, AccessType::Read, offchip_issue);
 
     // Victim writeback (posted).
-    if (line.valid && line.dirty) {
+    if (line.valid() && line.dirty()) {
         const Addr victim_home = lineHomeAddr(slot.index);
         offchipAccess(victim_home, AccessType::Write, result.done);
         funcCopy(stackedLoc(slot_addr), offchipLoc(victim_home),
@@ -124,9 +123,8 @@ AlloyCache::access(Addr phys, AccessType type, Cycle when)
     stackedAccess(slot_addr, AccessType::Write, result.done);
     funcCopy(offchipLoc(line_home), stackedLoc(slot_addr),
              cfg.lineBytes);
-    line.valid = true;
-    line.tag = slot.tag;
-    line.dirty = (type == AccessType::Write);
+    line.word = Line::validBit | slot.tag |
+                (type == AccessType::Write ? Line::dirtyBit : 0);
     ++statsData.fills;
 
     recordDemand(type, when, result.done, false);

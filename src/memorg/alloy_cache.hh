@@ -71,8 +71,10 @@ class AlloyCache : public MemOrganization
     LineView
     lineView(std::uint64_t index) const
     {
-        const Line &l = lines[index];
-        return LineView{l.tag, l.valid, l.dirty};
+        const Line l = lines[index];
+        if (!l.valid())
+            return LineView{};
+        return LineView{l.tag(), true, l.dirty()};
     }
 
     /** Line (set) index covering OS-visible @p phys. */
@@ -82,19 +84,37 @@ class AlloyCache : public MemOrganization
     Addr
     lineHomeAddr(std::uint64_t index) const
     {
-        return (lines[index].tag * lines.size() + index) << lineShift;
+        return (lines[index].tag() * lines.size() + index) << lineShift;
     }
 
   protected:
     Addr resolveLocation(Addr phys) const override;
 
   private:
+    /**
+     * One line's controller state in a single word: valid in bit 63,
+     * dirty in bit 62, the tag below. Zero is a never-filled line.
+     */
     struct Line
     {
-        Addr tag = invalidAddr;
-        bool valid = false;
-        bool dirty = false;
+        static constexpr std::uint64_t validBit = 1ull << 63;
+        static constexpr std::uint64_t dirtyBit = 1ull << 62;
+        static constexpr std::uint64_t tagMask = dirtyBit - 1;
+
+        std::uint64_t word = 0;
+
+        bool valid() const { return word & validBit; }
+        bool dirty() const { return word & dirtyBit; }
+        Addr tag() const { return word & tagMask; }
+
+        /** Valid and holding @p tag, clean or dirty. */
+        bool
+        holds(Addr tag) const
+        {
+            return (word & ~dirtyBit) == (validBit | tag);
+        }
     };
+    static_assert(sizeof(Line) == 8);
 
     /** Line index and tag of one OS-visible address. */
     struct Slot
@@ -105,6 +125,9 @@ class AlloyCache : public MemOrganization
 
     /** log2 of the line size (only 64B lines are supported). */
     static constexpr unsigned lineShift = 6;
+    // A tag is at most a 64-bit address shifted right by lineShift,
+    // so no capacity can push one into the dirty or valid bit.
+    static_assert((~Addr{0} >> lineShift) <= Line::tagMask);
 
     /** @p phys's slot, from a single division by the line count. */
     Slot

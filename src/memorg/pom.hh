@@ -149,6 +149,18 @@ class PomMemory : public MemOrganization
     /** Device location of (group, physical slot). */
     Addr slotLocation(std::uint64_t group, std::uint32_t phys_slot) const;
 
+    /**
+     * Functionally clear one physical slot's segment. With the layer
+     * off (timing runs) this skips even the slot-location math, which
+     * the ISA-Alloc/ISA-Free storm of every boot would otherwise pay.
+     */
+    void
+    clearSlotData(std::uint64_t group, std::uint32_t phys_slot)
+    {
+        if (functionalEnabled())
+            funcClear(slotLocation(group, phys_slot), cfg.segmentBytes);
+    }
+
     /** Timed 64B access to a physical slot's storage. */
     Cycle slotAccess(std::uint64_t group, std::uint32_t phys_slot,
                      Addr seg_offset, AccessType type, Cycle when);

@@ -70,24 +70,26 @@ FrameAllocator::chunkNode(std::uint64_t chunk) const
                                                     : MemNode::OffChip;
 }
 
-std::vector<MemNode>
-FrameAllocator::zoneOrder()
+FrameAllocator::ZoneOrder
+FrameAllocator::zoneOrder(std::optional<MemNode> zone)
 {
+    constexpr ZoneOrder fast_first{{MemNode::Stacked, MemNode::OffChip}, 2};
+    constexpr ZoneOrder slow_first{{MemNode::OffChip, MemNode::Stacked}, 2};
+    if (zone)
+        return {{*zone, *zone}, 1};
     switch (cfg.policy) {
       case AllocPolicy::FastFirst:
-        return {MemNode::Stacked, MemNode::OffChip};
+        return fast_first;
       case AllocPolicy::SlowFirst:
-        return {MemNode::OffChip, MemNode::Stacked};
+        return slow_first;
       case AllocPolicy::Uniform: {
         // Weight the first probe by current free-page population so
         // allocations land uniformly over the whole physical space.
         const std::uint64_t sf = stackedZone.freePageCount;
         const std::uint64_t of = offchipZone.freePageCount;
         if (sf + of == 0)
-            return {MemNode::Stacked, MemNode::OffChip};
-        if (policyRng.below(sf + of) < sf)
-            return {MemNode::Stacked, MemNode::OffChip};
-        return {MemNode::OffChip, MemNode::Stacked};
+            return fast_first;
+        return policyRng.below(sf + of) < sf ? fast_first : slow_first;
       }
     }
     panic("FrameAllocator: unknown policy");
@@ -108,11 +110,10 @@ FrameAllocator::breakChunk(MemNode node)
     return true;
 }
 
-std::optional<Addr>
-FrameAllocator::allocPage(std::optional<MemNode> zone)
+Addr
+FrameAllocator::takePage(std::optional<MemNode> zone)
 {
-    const std::vector<MemNode> order =
-        zone ? std::vector<MemNode>{*zone} : zoneOrder();
+    const ZoneOrder order = zoneOrder(zone);
     for (MemNode node : order) {
         Zone &z = zoneRef(node);
         // Policy-driven allocations respect the stacked watermark;
@@ -132,14 +133,13 @@ FrameAllocator::allocPage(std::optional<MemNode> zone)
         return frame;
     }
     ++statsData.failedAllocs;
-    return std::nullopt;
+    return invalidAddr;
 }
 
 std::optional<Addr>
 FrameAllocator::allocHuge(std::optional<MemNode> zone)
 {
-    const std::vector<MemNode> order =
-        zone ? std::vector<MemNode>{*zone} : zoneOrder();
+    const ZoneOrder order = zoneOrder(zone);
     for (int attempt = 0; attempt < 2; ++attempt) {
         for (MemNode node : order) {
             Zone &z = zoneRef(node);

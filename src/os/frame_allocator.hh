@@ -24,6 +24,7 @@
 #ifndef CHAMELEON_OS_FRAME_ALLOCATOR_HH
 #define CHAMELEON_OS_FRAME_ALLOCATOR_HH
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -86,8 +87,16 @@ class FrameAllocator
      * the configured policy. Returns the frame base address, or
      * std::nullopt when the eligible zones are exhausted (-ENOMEM).
      */
-    std::optional<Addr> allocPage(
-        std::optional<MemNode> zone = std::nullopt);
+    std::optional<Addr>
+    allocPage(std::optional<MemNode> zone = std::nullopt)
+    {
+        // Inline so the optional is built in the caller's registers
+        // (one per pre-mapped page at boot).
+        const Addr frame = takePage(zone);
+        if (frame == invalidAddr)
+            return std::nullopt;
+        return frame;
+    }
 
     /** Allocate one 2MiB huge frame (compacting if needed). */
     std::optional<Addr> allocHuge(
@@ -174,14 +183,30 @@ class FrameAllocator
     const Zone &zoneRef(MemNode node) const;
     MemNode chunkNode(std::uint64_t chunk) const;
 
+    /** allocPage's body: the frame, or invalidAddr on -ENOMEM. */
+    Addr takePage(std::optional<MemNode> zone);
+
     /** Break a wholly free chunk of @p zone into frames. */
     bool breakChunk(MemNode node);
 
     /** Re-assemble fully-free broken chunks in @p zone. */
     void compact(MemNode node);
 
-    /** Zone probe order for the configured policy. */
-    std::vector<MemNode> zoneOrder();
+    /** Zones one allocation probes, in order (no heap storage). */
+    struct ZoneOrder
+    {
+        std::array<MemNode, 2> nodes;
+        std::size_t count;
+
+        const MemNode *begin() const { return nodes.data(); }
+        const MemNode *end() const { return nodes.data() + count; }
+    };
+
+    /**
+     * Probe order: @p zone alone when given, else the configured
+     * policy's order (one policyRng draw per Uniform call).
+     */
+    ZoneOrder zoneOrder(std::optional<MemNode> zone);
 
     FrameAllocatorConfig cfg;
     TraceSink *trace = nullptr;

@@ -9,14 +9,9 @@ namespace chameleon
 {
 
 MiniOs::MiniOs(const OsConfig &config, IsaListener *listener)
-    : cfg(config), frames(config.frames), isa(listener)
+    : cfg(config), frames(config.frames), isa(listener),
+      isaSegBytes(listener ? listener->isaSegmentBytes() : 2048)
 {
-}
-
-std::uint64_t
-MiniOs::segmentBytes() const
-{
-    return isa ? isa->isaSegmentBytes() : 2048;
 }
 
 void
@@ -62,13 +57,19 @@ MiniOs::pageCount(ProcId pid) const
     return procRef(pid).ptes.size();
 }
 
+MiniOs::PteView
+MiniOs::pteView(ProcId pid, std::uint64_t vpn) const
+{
+    const Pte &pte = procRef(pid).ptes.at(vpn);
+    return PteView{pte.pfn, pte.resident, pte.onDisk};
+}
+
 void
 MiniOs::emitAllocs(Addr page_base, std::uint64_t bytes, Cycle when)
 {
     if (!cfg.emitIsaHooks || !isa)
         return;
-    const std::uint64_t seg = isa->isaSegmentBytes();
-    for (std::uint64_t off = 0; off < bytes; off += seg) {
+    for (std::uint64_t off = 0; off < bytes; off += isaSegBytes) {
         isa->isaAlloc(page_base + off, when);
         ++statsData.isaAllocs;
         TraceSink::emit(trace, when, TraceKind::IsaAlloc,
@@ -81,8 +82,7 @@ MiniOs::emitFrees(Addr page_base, std::uint64_t bytes, Cycle when)
 {
     if (!cfg.emitIsaHooks || !isa)
         return;
-    const std::uint64_t seg = isa->isaSegmentBytes();
-    for (std::uint64_t off = 0; off < bytes; off += seg) {
+    for (std::uint64_t off = 0; off < bytes; off += isaSegBytes) {
         isa->isaFree(page_base + off, when);
         ++statsData.isaFrees;
         TraceSink::emit(trace, when, TraceKind::IsaFree,
@@ -94,7 +94,7 @@ void
 MiniOs::addToClock(ProcId pid, std::uint64_t vpn, Pte &pte)
 {
     pte.clockSlot = static_cast<std::uint32_t>(residentList.size());
-    residentList.push_back({pid, vpn, true});
+    residentList.push_back({.vpn = vpn, .pid = pid, .valid = true});
 }
 
 void
@@ -409,6 +409,9 @@ MiniOs::isaRetire(Addr frame_base, Cycle when)
                 }
                 std::erase(proc.hugeFrames, huge_base);
             }
+            // removeFromClock() may compact residentList under entry.
+            const ProcId pid = entry.pid;
+            const std::uint64_t vpn = entry.vpn;
             pte.resident = false;
             pte.onDisk = true;
             pte.pfn = invalidAddr;
@@ -416,8 +419,8 @@ MiniOs::isaRetire(Addr frame_base, Cycle when)
             frames.freePage(frame_base);
             emitFrees(frame_base, pageBytes, when);
             ++statsData.swapOuts;
-            TraceSink::emit(trace, when, TraceKind::SwapOut,
-                            entry.pid, entry.vpn, frame_base);
+            TraceSink::emit(trace, when, TraceKind::SwapOut, pid, vpn,
+                            frame_base);
             break;
         }
     }

@@ -135,6 +135,26 @@ class MiniOs
     /** Number of pages in @p pid's VA space. */
     std::uint64_t pageCount(ProcId pid) const;
 
+    /** Read-only view of one page-table entry (tests, state digests). */
+    struct PteView
+    {
+        Addr pfn;
+        bool resident;
+        bool onDisk;
+    };
+
+    PteView pteView(ProcId pid, std::uint64_t vpn) const;
+
+    /** Call @p fn(pid, vpn) for each resident page in clock order. */
+    template <typename Fn>
+    void
+    forEachResident(Fn &&fn) const
+    {
+        for (const ClockEntry &e : residentList)
+            if (e.valid)
+                fn(e.pid, e.vpn);
+    }
+
     FrameAllocator &allocator() { return frames; }
     const FrameAllocator &allocator() const { return frames; }
 
@@ -142,9 +162,6 @@ class MiniOs
 
     const OsStats &stats() const { return statsData; }
     const OsConfig &config() const { return cfg; }
-
-    /** Segment size used for ISA notifications. */
-    std::uint64_t segmentBytes() const;
 
     /**
      * Attach a trace sink; fault, reclaim, migration, retirement and
@@ -154,18 +171,20 @@ class MiniOs
     void setTraceSink(TraceSink *sink);
 
   private:
+    /** One per virtual page; packed to 16 bytes. */
     struct Pte
     {
         Addr pfn = invalidAddr;
-        bool resident = false;
-        bool onDisk = false;
-        bool dirty = false;
-        bool referenced = false;
         /** Index into residentList, or ~0u. */
         std::uint32_t clockSlot = ~0u;
+        bool resident : 1 = false;
+        bool onDisk : 1 = false;
+        bool dirty : 1 = false;
+        bool referenced : 1 = false;
         /** Part of a THP mapping (frames freed chunk-wise). */
-        bool huge = false;
+        bool huge : 1 = false;
     };
+    static_assert(sizeof(Pte) == 16);
 
     struct Process
     {
@@ -178,12 +197,14 @@ class MiniOs
         std::vector<Addr> hugeFrames;
     };
 
+    /** One per resident page; vpn first so it packs to 16 bytes. */
     struct ClockEntry
     {
-        ProcId pid = ~0u;
         std::uint64_t vpn = 0;
+        ProcId pid = ~0u;
         bool valid = false;
     };
+    static_assert(sizeof(ClockEntry) == 16);
 
     /** Allocate a frame, evicting a victim if memory is exhausted. */
     std::optional<Addr> obtainFrame(Cycle when, bool &evicted,
@@ -209,6 +230,8 @@ class MiniOs
     OsConfig cfg;
     FrameAllocator frames;
     IsaListener *isa;
+    /** The listener's segment size, read once at boot. */
+    std::uint64_t isaSegBytes;
     TraceSink *trace = nullptr;
     std::vector<Process> processes;
     std::vector<ClockEntry> residentList;

@@ -180,6 +180,62 @@ TEST(AlloyCache, NonPowerOfTwoPredictorIsFatal)
     EXPECT_TRUE(serial.access(0, AccessType::Read, 0).done > 0);
 }
 
+TEST(AlloyCache, PackedLineRoundTrip)
+{
+    // 1 MiB stacked holds 14563 lines. A 2^62-byte off-chip pool
+    // (device state does not scale with capacity) gives 42-bit tags.
+    Devices d(1_MiB, 1ull << 62);
+    AlloyCache alloy(d.stacked.get(), d.offchip.get());
+    alloy.enableFunctional(true);
+    const std::uint64_t n = alloy.numLines();
+
+    // Never filled: no tag, clean, invalid.
+    const AlloyCache::LineView empty = alloy.lineView(5);
+    EXPECT_EQ(empty.tag, invalidAddr);
+    EXPECT_FALSE(empty.valid);
+    EXPECT_FALSE(empty.dirty);
+
+    // A read fill is clean; a write hit sets dirty and keeps the tag.
+    const Addr a = (3 * n + 5) * 64;
+    alloy.access(a, AccessType::Read, 0);
+    AlloyCache::LineView v = alloy.lineView(5);
+    EXPECT_EQ(v.tag, 3u);
+    EXPECT_TRUE(v.valid);
+    EXPECT_FALSE(v.dirty);
+    EXPECT_TRUE(alloy.access(a + 8, AccessType::Write, 10).stackedHit);
+    v = alloy.lineView(5);
+    EXPECT_EQ(v.tag, 3u);
+    EXPECT_TRUE(v.valid);
+    EXPECT_TRUE(v.dirty);
+    EXPECT_EQ(alloy.lineHomeAddr(5), a);
+
+    // The dirty victim is written back to lineHomeAddr: its data is
+    // readable at its home once a conflicting line replaces it.
+    alloy.functionalWrite(a, 4242);
+    const Addr b = (7 * n + 5) * 64;
+    alloy.access(b, AccessType::Read, 20);
+    EXPECT_EQ(alloy.stats().writebacks, 1u);
+    v = alloy.lineView(5);
+    EXPECT_EQ(v.tag, 7u);
+    EXPECT_FALSE(v.dirty);
+    EXPECT_EQ(alloy.lineHomeAddr(5), b);
+    EXPECT_EQ(alloy.functionalPeekLoc(MemOrganization::offchipLoc(a)),
+              4242u);
+
+    // The last OS-visible line carries the largest tag.
+    const Addr last = alloy.osVisibleBytes() - 64;
+    const std::uint64_t idx = alloy.lineIndexOf(last);
+    const Addr max_tag = (last / 64) / n;
+    EXPECT_GT(max_tag, 1ull << 41);
+    alloy.access(last, AccessType::Write, 30);
+    v = alloy.lineView(idx);
+    EXPECT_EQ(v.tag, max_tag);
+    EXPECT_TRUE(v.valid);
+    EXPECT_TRUE(v.dirty);
+    EXPECT_EQ(alloy.lineHomeAddr(idx), last);
+    EXPECT_TRUE(alloy.access(last, AccessType::Read, 40).stackedHit);
+}
+
 TEST(AlloyCache, FunctionalIntegrityUnderTraffic)
 {
     Devices d;

@@ -6,9 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <unordered_set>
+#include <vector>
 
 #include "os/frame_allocator.hh"
+
+#include "fnv_digest.hh"
 
 using namespace chameleon;
 
@@ -24,6 +28,57 @@ smallConfig(AllocPolicy policy = AllocPolicy::Uniform)
     c.policy = policy;
     c.seed = 99;
     return c;
+}
+
+/**
+ * FNV-1a digest of one fixed allocation script: policy pages that
+ * break chunks in both zones, zone-targeted pages, policy and
+ * zone-targeted huge pages, a free of every policy page, huge pages
+ * until compaction has re-assembled and handed out every whole chunk,
+ * then pages until exhaustion. Every returned address (invalidAddr
+ * for a failure), the final counters and the zone free bytes go in.
+ */
+std::string
+handOutDigest(const FrameAllocatorConfig &cfg)
+{
+    test::Fnv d;
+    auto rec = [&d](std::optional<Addr> a) {
+        d.add(a ? *a : invalidAddr);
+    };
+
+    FrameAllocator fa(cfg);
+    std::vector<Addr> pages;
+    for (int i = 0; i < 700; ++i) {
+        const auto a = fa.allocPage();
+        rec(a);
+        if (a)
+            pages.push_back(*a);
+    }
+    for (int i = 0; i < 40; ++i) {
+        rec(fa.allocPage(MemNode::Stacked));
+        rec(fa.allocPage(MemNode::OffChip));
+    }
+    rec(fa.allocHuge());
+    rec(fa.allocHuge(MemNode::OffChip));
+    rec(fa.allocHuge(MemNode::Stacked));
+    for (std::size_t i = 0; i < pages.size(); i += 2)
+        fa.freePage(pages[i]);
+    for (std::size_t i = 1; i < pages.size(); i += 2)
+        fa.freePage(pages[i]);
+    while (const auto huge = fa.allocHuge())
+        rec(huge);
+    while (const auto a = fa.allocPage())
+        rec(a);
+    rec(std::nullopt);
+
+    const FrameAllocatorStats &s = fa.stats();
+    for (std::uint64_t v :
+         {s.pageAllocs, s.pageFrees, s.hugeAllocs, s.hugeFrees,
+          s.compactions, s.failedAllocs, s.retiredFrames,
+          fa.freeBytesInZone(MemNode::Stacked),
+          fa.freeBytesInZone(MemNode::OffChip)})
+        d.add(v);
+    return d.hex();
 }
 
 } // namespace
@@ -208,4 +263,21 @@ TEST(FrameAllocator, StatsAccounting)
     EXPECT_EQ(fa.stats().pageFrees, 1u);
     EXPECT_EQ(fa.stats().hugeAllocs, 1u);
     EXPECT_EQ(fa.stats().hugeFrees, 1u);
+}
+
+TEST(FrameAllocator, AllocationSequencePinned)
+{
+    // The hand-out order and the Uniform policy's RNG draws are part
+    // of every simulation's output. The expected digests were
+    // recorded from the original allocator; never regenerate them
+    // from changed code.
+    FrameAllocatorConfig numa = smallConfig(AllocPolicy::FastFirst);
+    numa.stackedWatermarkBytes = numa.stackedBytes / 8;
+    EXPECT_EQ(handOutDigest(smallConfig(AllocPolicy::Uniform)),
+              "81ea15dabdeb5216");
+    EXPECT_EQ(handOutDigest(smallConfig(AllocPolicy::FastFirst)),
+              "412c7f9a6e016035");
+    EXPECT_EQ(handOutDigest(smallConfig(AllocPolicy::SlowFirst)),
+              "31ce2f7a7f67b12d");
+    EXPECT_EQ(handOutDigest(numa), "98a3a3faf65de035");
 }

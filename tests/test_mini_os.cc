@@ -9,6 +9,7 @@
 
 #include <vector>
 
+#include "obs/trace_sink.hh"
 #include "os/mini_os.hh"
 
 using namespace chameleon;
@@ -138,6 +139,54 @@ TEST(MiniOs, ClockEvictionPrefersUnreferenced)
         if (os.translate(p, a, AccessType::Read, 0).majorFault)
             ++faults_on_hot;
     EXPECT_LT(faults_on_hot, hot_bytes / pageBytes / 4);
+}
+
+TEST(MiniOs, IsaRetireDuringClockCompaction)
+{
+    // 2 x 1280 resident pages; tearing one process down leaves
+    // exactly half of the 2560 clock entries invalid, one short of
+    // the compaction threshold. Evicting the page in a retired frame
+    // then compacts residentList under isaRetire's scan: the SwapOut
+    // event must still name the evicted page (ASan reports a
+    // use-after-free if it is read from the old list).
+    MiniOs os(smallOs());
+    TraceSink sink;
+    os.setTraceSink(&sink);
+    const ProcId a = os.createProcess("a", 5_MiB);
+    const ProcId b = os.createProcess("b", 5_MiB);
+    os.preAllocate(a);
+    os.preAllocate(b);
+    os.destroyProcess(a);
+
+    const std::uint64_t vpn = 7;
+    const Addr frame = *os.peekTranslate(b, vpn * pageBytes);
+    os.isaRetire(frame, 100);
+
+    const MiniOs::PteView v = os.pteView(b, vpn);
+    EXPECT_FALSE(v.resident);
+    EXPECT_TRUE(v.onDisk);
+    EXPECT_TRUE(os.allocator().isRetired(frame));
+    EXPECT_EQ(os.stats().swapOuts, 1u);
+    std::vector<TraceEvent> swap_outs;
+    for (const TraceEvent &e : sink.sortedEvents())
+        if (e.kind == TraceKind::SwapOut)
+            swap_outs.push_back(e);
+    ASSERT_EQ(swap_outs.size(), 1u);
+    EXPECT_EQ(swap_outs[0].arg0, b);
+    EXPECT_EQ(swap_outs[0].arg1, vpn);
+    EXPECT_EQ(swap_outs[0].arg2, frame);
+
+    // The compacted clock keeps b's other pages in order.
+    std::vector<std::uint64_t> order;
+    os.forEachResident([&](ProcId pid, std::uint64_t page) {
+        EXPECT_EQ(pid, b);
+        order.push_back(page);
+    });
+    ASSERT_EQ(order.size(), os.pageCount(b) - 1);
+    for (std::size_t i = 0; i < order.size(); ++i)
+        EXPECT_EQ(order[i], i < vpn ? i : i + 1);
+    EXPECT_TRUE(os.translate(b, vpn * pageBytes, AccessType::Read, 200)
+                    .majorFault);
 }
 
 TEST(MiniOs, IsaHooksPerSegment)

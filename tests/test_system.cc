@@ -9,10 +9,15 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <string>
 
+#include "core/chameleon.hh"
+#include "memorg/alloy_cache.hh"
 #include "memorg/pom.hh"
 #include "sim/experiment.hh"
 #include "sim/system.hh"
+
+#include "fnv_digest.hh"
 
 using namespace chameleon;
 
@@ -44,6 +49,91 @@ testApp(double footprint_frac_of_24 = 0.8)
     p.seqRunBlocks = 16.0;
     p.writeFraction = 0.3;
     return p;
+}
+
+/**
+ * Digest of everything System construction plus loadRateWorkload
+ * leave behind: every PTE, the clock order, the OS and allocator
+ * counters, and the organization's counters, Alloy tags and remap
+ * state.
+ */
+std::string
+bootStateDigest(System &sys)
+{
+    test::Fnv d;
+    MiniOs &os = sys.os();
+    for (ProcId pid = 0; pid < sys.config().numCores; ++pid) {
+        const std::uint64_t pages = os.pageCount(pid);
+        d.add(pages);
+        for (std::uint64_t vpn = 0; vpn < pages; ++vpn) {
+            const MiniOs::PteView v = os.pteView(pid, vpn);
+            d.add(pid);
+            d.add(vpn);
+            d.add(v.pfn);
+            d.add(std::uint64_t{v.resident});
+            d.add(std::uint64_t{v.onDisk});
+        }
+    }
+    os.forEachResident([&](ProcId pid, std::uint64_t vpn) {
+        d.add(pid);
+        d.add(vpn);
+    });
+
+    const OsStats &s = os.stats();
+    for (std::uint64_t v :
+         {s.minorFaults, s.majorFaults, s.swapOuts, s.swapIns,
+          s.isaAllocs, s.isaFrees, s.migrations, s.migrationFailures,
+          s.thpAllocs, s.thpFallbacks, s.isaRetires})
+        d.add(v);
+    const FrameAllocator &fa = os.allocator();
+    const FrameAllocatorStats &f = fa.stats();
+    for (std::uint64_t v :
+         {f.pageAllocs, f.pageFrees, f.hugeAllocs, f.hugeFrees,
+          f.compactions, f.failedAllocs, f.retiredFrames,
+          fa.freeBytesInZone(MemNode::Stacked),
+          fa.freeBytesInZone(MemNode::OffChip)})
+        d.add(v);
+
+    const MemOrganization &org = sys.organization();
+    const MemOrgStats &m = org.stats();
+    for (std::uint64_t v :
+         {m.reads, m.writes, m.stackedServed, m.offchipServed, m.swaps,
+          m.fills, m.writebacks, m.isaMoves, m.latencySum})
+        d.add(v);
+    if (const auto *alloy = dynamic_cast<const AlloyCache *>(&org)) {
+        for (std::uint64_t i = 0; i < alloy->numLines(); ++i) {
+            const AlloyCache::LineView v = alloy->lineView(i);
+            d.add(v.tag);
+            d.add(std::uint64_t{v.valid});
+            d.add(std::uint64_t{v.dirty});
+        }
+    }
+    if (const auto *pom = dynamic_cast<const PomMemory *>(&org)) {
+        const std::uint32_t slots = pom->space().slotsPerGroup();
+        for (std::uint64_t g = 0; g < pom->space().numGroups(); ++g) {
+            const SrtEntry &e = pom->entry(g);
+            for (std::uint32_t l = 0; l < slots; ++l)
+                d.add(std::uint64_t{e.perm[l]});
+            d.add(std::uint64_t{e.candidate});
+            d.add(std::uint64_t{e.counter});
+        }
+    }
+    if (const auto *cham = dynamic_cast<const ChameleonMemory *>(&org)) {
+        const ChameleonStats &c = cham->chamStats();
+        for (std::uint64_t v :
+             {c.allocTransitions, c.freeTransitions, c.isaAllocsSeen,
+              c.isaFreesSeen, c.cacheHits, c.cacheMisses,
+              c.segmentClears})
+            d.add(v);
+        for (std::uint64_t g = 0; g < cham->space().numGroups(); ++g) {
+            d.add(static_cast<std::uint64_t>(cham->groupMode(g)));
+            d.add(std::uint64_t{cham->groupAbv(g)});
+            d.add(std::uint64_t{cham->groupCachedSlot(g)});
+            d.add(std::uint64_t{cham->groupDirty(g)});
+        }
+        d.addF64(cham->cacheModeFraction());
+    }
+    return d.hex();
 }
 
 } // namespace
@@ -253,4 +343,44 @@ TEST(System, SrtCacheCostsLatencyOnMisses)
     ASSERT_NE(pom, nullptr);
     EXPECT_GT(pom->srtCacheMisses(), 0u);
     EXPECT_GT(pom->srtCacheHits(), 0u);
+}
+
+TEST(System, BootStateBitIdentical)
+{
+    // Boot state is output: the frame hand-out order, the per-page
+    // RNG draws and every ISA-Alloc side effect feed every RunResult.
+    // The expected digests were recorded from the original boot code;
+    // never regenerate them from changed code.
+    struct Case
+    {
+        Design design;
+        const char *app;
+        const char *digest;
+    };
+    const Case cases[] = {
+        {Design::FlatDdr, "mcf", "b256772b31172a62"},
+        {Design::FlatDdr, "cloverleaf", "a3a9f40e83e09551"},
+        {Design::NumaFlat, "mcf", "5aa4ef3ab71b75c2"},
+        {Design::NumaFlat, "cloverleaf", "2d257615749af406"},
+        {Design::Alloy, "mcf", "39f7d451efb378a2"},
+        {Design::Alloy, "cloverleaf", "67c2c79aaeddf891"},
+        {Design::Pom, "mcf", "f59e0beed021dc1a"},
+        {Design::Pom, "cloverleaf", "07a07e2a1bdd3187"},
+        {Design::Chameleon, "mcf", "aff4104b9e93532f"},
+        {Design::Chameleon, "cloverleaf", "6a30cbb490170cc1"},
+        {Design::ChameleonOpt, "mcf", "121c697f3d0c6d00"},
+        {Design::ChameleonOpt, "cloverleaf", "0042f66f24787bf7"},
+        {Design::Polymorphic, "mcf", "aff4104b9e93532f"},
+        {Design::Polymorphic, "cloverleaf", "6a30cbb490170cc1"},
+    };
+    BenchOptions opts;
+    opts.scale = 256;
+    opts.seed = 1;
+    const std::vector<AppProfile> suite = tableTwoSuite(opts.scale);
+    for (const Case &c : cases) {
+        System sys(makeSystemConfig(c.design, opts));
+        sys.loadRateWorkload(findProfile(suite, c.app));
+        EXPECT_EQ(bootStateDigest(sys), c.digest)
+            << designLabel(c.design) << "/" << c.app;
+    }
 }
